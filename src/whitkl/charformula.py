@@ -78,17 +78,21 @@ def invert_multiplicities(cf: CharacterFormula) -> list[list[int]]:
     for label, entries in cf.rows.items():
         for target, coeff in entries:
             m[index[label]][index[target]] = coeff
-    # labels are sorted by coset length, so m is unitriangular
+    # labels are sorted by coset length, so m is lower unitriangular, and
+    # so is its inverse: row j of it is nonzero only in columns support[j]
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    support: list[list[int]] = []
     for i in range(n):
         if m[i][i] != 1:
             raise AssertionError("coefficient matrix is not unitriangular")
+        row = inv[i]
         for j in range(i):
-            if m[i][j]:
-                f = m[i][j]
-                for k in range(n):
-                    if inv[j][k]:
-                        inv[i][k] -= f * inv[j][k]
+            f = m[i][j]
+            if f:
+                inv_j = inv[j]
+                for k in support[j]:
+                    row[k] -= f * inv_j[k]
+        support.append([k for k in range(i + 1) if row[k]])
     return inv
 
 

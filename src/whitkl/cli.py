@@ -84,7 +84,12 @@ def parse_lambda(text: str, rank: int) -> Weight:
                     f"between terms"
                 )
             sign = -1 if m.group("sign") == "-" else 1
-            value = Fraction(int(m.group("num")), int(m.group("den") or 1)) * sign
+            den = int(m.group("den") or 1)
+            if den == 0:
+                raise InputError(
+                    f"zero denominator at position {offset + m.start('den')}"
+                )
+            value = Fraction(int(m.group("num")), den) * sign
             if m.group("tk") is not None:
                 k = int(m.group("tk"))
                 if not 1 <= k <= MAX_TRANSCENDENTALS:
@@ -235,7 +240,7 @@ def _coset_entry(group, tc, record):
             "name": elt_name(group, record.shortest),
         },
         "length": group.length(record.longest),
-        "below": [d for d in range(tc.n_cosets) if d != record.id and tc.leq(d, record.id)],
+        "below": tc.below(record.id),
     }
 
 

@@ -55,7 +55,18 @@ class CosetRecord:
 
 
 class ThetaCosets:
-    """The set W_Theta \\ W with its partial order and simple-step moves."""
+    """The set W_Theta \\ W with its partial order and simple-step moves.
+
+    The order is the Bruhat order on longest coset elements.  It is kept
+    as one lower ideal per coset: an int bitset over coset ids with bit C
+    set iff C <= D.  Ideals are built on first use and memoised, from the
+    subword property [e, w] = [e, ws] u [e, ws] s for ws < w (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read on cosets:
+    ideal(0) = {0}, and for a LOWER step C s,
+    ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}.  Coset ids ascend with
+    length, so ideal(C) has no bit above C.  All ideals together take at
+    most n^2/8 bytes for n cosets (0.46 MB for D5 with Theta empty).
+    """
 
     def __init__(self, group: WeylGroup, theta):
         self.group = group
@@ -104,9 +115,32 @@ class ThetaCosets:
         self.cosets = cosets
         self.coset_of = [relabel[c] for c in coset_of]
         self.n_cosets = len(cosets)
+        # coset 0 holds the identity and is the unique minimum
+        self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
+
+    def _ideal(self, c: int) -> int:
+        ideal = self._ideals[c]
+        if ideal is None:
+            for s in range(self.group.rs.rank):
+                step, lower = self.times_simple(c, s)
+                if step is CosetStep.LOWER:
+                    break
+            else:
+                raise AssertionError(f"coset {c} admits no simple descent")
+            below = self._ideal(lower)
+            right = self.group.right_table
+            ideal = below
+            for d in _bits(below):
+                ideal |= 1 << self.coset_of[right[self.cosets[d].longest][s]]
+            self._ideals[c] = ideal
+        return ideal
 
     def leq(self, c: int, d: int) -> bool:
-        return self.group.bruhat_leq(self.cosets[c].longest, self.cosets[d].longest)
+        return self._ideal(d) >> c & 1 == 1
+
+    def below(self, c: int) -> list[int]:
+        """Ascending ids of the cosets strictly below C."""
+        return [d for d in _bits(self._ideal(c)) if d != c]
 
     def length(self, c: int) -> int:
         return self.group.length(self.cosets[c].longest)
@@ -129,6 +163,11 @@ class ThetaCosets:
     def times_element(self, c: int, w: int) -> int:
         """Coset of C w (well-defined from any member)."""
         return self.coset_of[self.group.mult(self.cosets[c].longest, w)]
+
+
+def _bits(mask: int) -> list[int]:
+    """Ascending positions of the set bits of mask."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def build_theta_cosets(group: WeylGroup, theta) -> ThetaCosets:

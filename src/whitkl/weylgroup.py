@@ -27,14 +27,17 @@ class WeylElt:
 class WeylGroup:
     """Enumerated Weyl group with multiplication and Bruhat order.
 
-    All tables are immutable after construction.  The Bruhat memo cache
-    only ever gains immutable entries (single dict assignments), so
-    concurrent readers always observe consistent values.
+    The enumeration tables are immutable after construction.  Two caches
+    fill lazily: the reflection table, which holds the element id of the
+    reflection in each root from its first use on, and the Bruhat memo.
+    Both only ever gain immutable entries (single list or dict
+    assignments), so concurrent readers always observe consistent values.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._enumerate()
+        self._reflections: list[int | None] = [None] * rs.n_roots
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
 
     # -- enumeration ---------------------------------------------------
@@ -114,17 +117,18 @@ class WeylGroup:
 
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""
-        rs = self.rs
-        images = tuple(
-            rs.root_index[
-                tuple(
-                    rs.roots[r][m] - rs.root_pairing(root_index, r) * rs.roots[root_index][m]
-                    for m in range(rs.rank)
+        cached = self._reflections[root_index]
+        if cached is None:
+            rs = self.rs
+            alpha = rs.roots[root_index]
+            images = []
+            for r, beta in enumerate(rs.roots):
+                c = rs.root_pairing(root_index, r)
+                images.append(
+                    rs.root_index[tuple(b - c * a for b, a in zip(beta, alpha))]
                 )
-            ]
-            for r in range(rs.n_roots)
-        )
-        return self._by_images[images]
+            cached = self._reflections[root_index] = self._by_images[tuple(images)]
+        return cached
 
     # -- descents and inversions -----------------------------------------
 

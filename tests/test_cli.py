@@ -61,6 +61,16 @@ def test_parse_lambda_errors_have_positions():
         parse_lambda("-1,-1 7,-1", 3)
 
 
+def test_zero_denominator_is_an_input_error(capsys):
+    with pytest.raises(InputError, match="position 2"):
+        parse_lambda("1/0,-1", 2)
+    code, out, err = run_cli(capsys, "--type", "A2", "--lambda=1/0,-1", "info")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "zero denominator" in err
+
+
 def test_parse_theta_variants():
     assert parse_theta("α,β", 3) == (0, 1)
     assert parse_theta("alpha,gamma", 3) == (0, 2)

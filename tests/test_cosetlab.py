@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from whitkl import (
@@ -48,6 +50,41 @@ def test_empty_theta_gives_singletons(a3):
     for c in tc.cosets:
         for d in tc.cosets:
             assert tc.leq(c.id, d.id) == a3.bruhat_leq(c.member_ids[0], d.member_ids[0])
+
+
+def _every_theta(rank):
+    return [
+        theta
+        for k in range(rank + 1)
+        for theta in itertools.combinations(range(rank), k)
+    ]
+
+
+@pytest.mark.parametrize(
+    "letter, rank, thetas",
+    [
+        ("A", 3, _every_theta(3)),
+        ("B", 3, _every_theta(3)),
+        ("C", 3, _every_theta(3)),
+        ("G", 2, _every_theta(2)),
+        ("B", 4, [(0, 1), (3,)]),
+        ("D", 4, [(), (1, 3)]),
+    ],
+)
+def test_coset_order_is_the_bruhat_order_of_longest_elements(letter, rank, thetas):
+    group = get_group(letter, rank)
+    for theta in thetas:
+        tc = build_theta_cosets(group, theta)
+        longest = [c.longest for c in tc.cosets]
+        for c in range(tc.n_cosets):
+            expected = [
+                d
+                for d in range(tc.n_cosets)
+                if d != c and group.bruhat_leq(longest[d], longest[c])
+            ]
+            assert tc.below(c) == expected, (theta, c)
+            for d in range(tc.n_cosets):
+                assert tc.leq(d, c) == (d == c or d in expected), (theta, d, c)
 
 
 def test_full_theta_single_coset(a3):

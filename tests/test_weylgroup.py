@@ -171,3 +171,22 @@ def test_action_is_group_action(a3_group, lam_g):
         assert g.act_on_weight(g.mult(a, b), lam_g) == g.act_on_weight(
             a, g.act_on_weight(b, lam_g)
         )
+
+
+@pytest.mark.parametrize("letter, rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_reflection_in_every_root(letter, rank):
+    g = get_group(letter, rank)
+    rs = g.rs
+    for i in range(rs.rank):
+        assert g.reflection(i) == g.simple_ids[i]
+    for r in range(rs.n_roots):
+        s = g.reflection(r)
+        assert s != 0 and g.mult(s, s) == 0
+        assert g.act_on_root(s, r) == rs.negate(r)
+        assert g.reflection(rs.negate(r)) == s
+        assert g.length(s) % 2 == 1
+        assert g.reflection(r) == s
+        # it fixes the roots orthogonal to r
+        for q in range(rs.n_roots):
+            if rs.root_pairing(r, q) == 0:
+                assert g.act_on_root(s, q) == q
