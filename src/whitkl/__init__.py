@@ -36,11 +36,11 @@ from .klengine import (
     KLTable,
     build_kl_table,
     kl_basis_model,
-    kl_classical_relation_check,
     phi_direct,
     phi_transport,
 )
 from .laurent import LaurentPoly
+from .oracle import kl_classical_relation_check
 from .rootsystem import (
     Classification,
     Kind,

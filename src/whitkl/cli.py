@@ -23,8 +23,13 @@ from .charformula import (
     verma_mode,
 )
 from .cosetlab import build_theta_cosets, integral_data, stabilizer_data
-from .klengine import build_kl_table, kl_classical_relation_check, phi_direct
-from .oracle import OracleReport, bruhat_subword, recompute_cosets
+from .klengine import build_kl_table, phi_direct
+from .oracle import (
+    OracleReport,
+    bruhat_subword,
+    kl_classical_relation_check,
+    recompute_cosets,
+)
 from .rootsystem import Weight, build_root_system, weight_flags
 from .weylgroup import enumerate_group
 
@@ -681,6 +686,11 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         sys.stderr.write(f"whitkl: error: {exc}\n")
         return 1
+    except AssertionError as exc:
+        # a broken internal invariant, not bad input
+        message = " ".join(str(exc).split()) or "assertion failed"
+        sys.stderr.write(f"whitkl: internal error: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

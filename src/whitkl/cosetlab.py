@@ -409,6 +409,7 @@ class IntegralModel:
         self.w_sub_ids = sub_ids
         self.order = order if order is not None else subgroup_bruhat(group, idata)
         self._ell_lambda = {w: self.order.ell(w) for w in idata.w_lambda_ids}
+        self._steps: dict[tuple[int, int], tuple[CosetStep, int]] = {}
         self._build_cosets()
         self._build_transport()
 
@@ -478,7 +479,18 @@ class IntegralModel:
         return self.order.leq(self.cosets[f].longest, self.cosets[g].longest)
 
     def times_simple(self, f: int, alpha_root: int) -> tuple[CosetStep, int]:
-        """Classify F s_alpha for alpha in Pi_lambda."""
+        """Classify F s_alpha for alpha in Pi_lambda.
+
+        Each (F, alpha) step is computed once, on first use, and kept in
+        the model's step table.
+        """
+        key = (f, alpha_root)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._step(f, alpha_root)
+        return step
+
+    def _step(self, f: int, alpha_root: int) -> tuple[CosetStep, int]:
         if alpha_root not in self.pi_lambda:
             raise ValueError(f"root {alpha_root} is not in Pi_lambda")
         vf = self.cosets[f].longest

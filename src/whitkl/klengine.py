@@ -8,12 +8,24 @@ Two independent paths compute the basis phi on the global coset module:
   T-operator for integral simple descents and label relabeling plus a
   weight move for non-integral ones.
 
+At an integral descent both paths apply one T-operator to a shorter
+basis element, getting xi, then subtract mu * basis(D) for every shorter
+D whose coefficient in xi has a nonzero constant term mu, longest D
+first.  `_subtract_mu` does this for both paths.  It walks only xi's
+support, longest first and by id among equal lengths, with a heap that
+gains the cosets each subtraction brings into the support (du Cloux,
+"Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups",
+Experiment. Math. 11, 2002).  A coset outside the support has no
+constant term, so the walk makes exactly the subtractions, in exactly
+the order, of a scan over every shorter coset.
+
 The two must agree everywhere; disagreement is the strongest available
 bug detector and is surfaced, never patched.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .cosetlab import (
@@ -36,8 +48,7 @@ from .heckemodule import (
     t_alpha_model,
 )
 from .laurent import LaurentPoly
-from .oracle import classical_kl
-from .rootsystem import Weight, is_integer, pair, weight_flags
+from .rootsystem import Weight, is_integer, pair
 from .weylgroup import WeylGroup
 
 __all__ = [
@@ -46,7 +57,6 @@ __all__ = [
     "phi_transport",
     "phi_direct",
     "build_kl_table",
-    "kl_classical_relation_check",
 ]
 
 
@@ -96,13 +106,7 @@ def kl_basis_model(model: IntegralModel):
             raise AssertionError("non-base model coset admits no descent")
         r, lower = alpha
         xi = t_alpha_model(model, r, psi[lower])
-        for g in sorted(
-            (g for g in range(model.n_cosets) if model.length(g) < model.length(f)),
-            key=lambda g: (-model.length(g), g),
-        ):
-            c = xi.coeff(g).coeff(0)
-            if c:
-                xi = xi - psi[g].scale(c)
+        xi = _subtract_mu(xi, model.length(f), psi.__getitem__, model.length)
         _assert_kl_shape(xi, f, model.leq)
         psi[f] = xi
         polys[(f, f)] = LaurentPoly.one()
@@ -110,6 +114,32 @@ def kl_basis_model(model: IntegralModel):
             if g != f:
                 polys[(f, g)] = poly
     return psi, polys
+
+
+def _subtract_mu(xi: HeckeElt, top_length: int, basis, length) -> HeckeElt:
+    """Clear the constant terms of xi below top_length.
+
+    For each D in xi's support with length(D) < top_length, longest first
+    and by id among equal lengths, whose coefficient has a nonzero
+    constant term mu, subtract basis(D).scale(mu).  basis(D) lives on the
+    lower interval of D, so each subtraction only brings in cosets that
+    come later in the walk; they are pushed as they appear.
+    """
+    heap = [(-length(d), d) for d in xi.coeffs if length(d) < top_length]
+    heapq.heapify(heap)
+    queued = {d for _, d in heap}
+    while heap:
+        _, d = heapq.heappop(heap)
+        mu = xi.coeff(d).coeff(0)
+        if not mu:
+            continue
+        lower = basis(d)
+        xi = xi - lower.scale(mu)
+        for e in lower.coeffs:
+            if e not in queued and length(e) < top_length:
+                queued.add(e)
+                heapq.heappush(heap, (-length(e), e))
+    return xi
 
 
 def _assert_kl_shape(elt: HeckeElt, top: int, leq) -> None:
@@ -139,24 +169,51 @@ def phi_transport(tc: ThetaCosets, models, psi_by_u) -> dict[int, HeckeElt]:
 
 
 def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
-    """Path B: direct recursion on global cosets across weight moves."""
+    """Path B: direct recursion on global cosets across weight moves.
+
+    A coset with a non-integral simple descent beta is reached from C s_beta
+    at the weight s_beta(weight), by relabelling; otherwise an integral
+    descent alpha gives T_alpha of the shorter element, which
+    `_subtract_mu` turns into a basis element by walking its support.
+    Weights are interned: each distinct weight gets a small int id on
+    first sight, with its non-integral and integral simple roots, and each
+    weight move (id, beta) -> id is computed once.  The memo is keyed on
+    (weight id, coset).
+    """
     group = tc.group
     rs = group.rs
     tag = global_tag(tc)
-    memo: dict[tuple[Weight, int], HeckeElt] = {}
-    integral_simples_cache: dict[Weight, tuple[int, ...]] = {}
+    ids: dict[Weight, int] = {}
+    weights: list[Weight] = []
+    simples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    moves: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], HeckeElt] = {}
 
-    def integral_simples(weight: Weight) -> tuple[int, ...]:
-        cached = integral_simples_cache.get(weight)
-        if cached is None:
-            cached = tuple(
-                i for i in range(rs.rank) if is_integer(pair(rs, i, weight))
+    def intern(weight: Weight) -> int:
+        wid = ids.get(weight)
+        if wid is None:
+            wid = ids[weight] = len(weights)
+            weights.append(weight)
+            integral = [is_integer(pair(rs, i, weight)) for i in range(rs.rank)]
+            simples.append(
+                (
+                    tuple(i for i in range(rs.rank) if not integral[i]),
+                    tuple(i for i in range(rs.rank) if integral[i]),
+                )
             )
-            integral_simples_cache[weight] = cached
-        return cached
+        return wid
 
-    def compute(weight: Weight, c: int) -> HeckeElt:
-        key = (weight, c)
+    def move(wid: int, beta: int) -> int:
+        key = (wid, beta)
+        moved = moves.get(key)
+        if moved is None:
+            moved = moves[key] = intern(
+                group.act_on_weight(group.simple_ids[beta], weights[wid])
+            )
+        return moved
+
+    def compute(wid: int, c: int) -> HeckeElt:
+        key = (wid, c)
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -164,33 +221,22 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             result = delta(tag, 0)
             memo[key] = result
             return result
-        integral = set(integral_simples(weight))
+        nonintegral, integral = simples[wid]
         result = None
-        for beta in range(rs.rank):
-            if beta in integral:
-                continue
+        for beta in nonintegral:
             step, target = tc.times_simple(c, beta)
             if step is CosetStep.LOWER:
-                moved = compute(group.act_on_weight(group.simple_ids[beta], weight), target)
+                moved = compute(move(wid, beta), target)
                 result = right_mult_simple(tc, moved, beta)
                 break
         if result is None:
-            for alpha in sorted(integral):
+            for alpha in integral:
                 step, target = tc.times_simple(c, alpha)
                 if step is CosetStep.LOWER:
-                    xi = t_alpha(tc, alpha, compute(weight, target))
-                    for d in sorted(
-                        (
-                            d
-                            for d in range(tc.n_cosets)
-                            if tc.length(d) < tc.length(c)
-                        ),
-                        key=lambda d: (-tc.length(d), d),
-                    ):
-                        coefficient = xi.coeff(d).coeff(0)
-                        if coefficient:
-                            xi = xi - compute(weight, d).scale(coefficient)
-                    result = xi
+                    xi = t_alpha(tc, alpha, compute(wid, target))
+                    result = _subtract_mu(
+                        xi, tc.length(c), lambda d: compute(wid, d), tc.length
+                    )
                     break
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
@@ -198,7 +244,8 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
         memo[key] = result
         return result
 
-    return {c: compute(lam, c) for c in range(tc.n_cosets)}
+    start = intern(lam)
+    return {c: compute(start, c) for c in range(tc.n_cosets)}
 
 
 def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
@@ -230,31 +277,3 @@ def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
         phi=phi,
         polys=global_polys,
     )
-
-
-def kl_classical_relation_check(group: WeylGroup, lam: Weight) -> bool:
-    """Check P_{wv}(q) = q^{l(w)-l(v)} P_{v,w}(q^-2) against the
-    R-polynomial oracle, for Theta empty and integral regular lam."""
-    flags = weight_flags(group.rs, lam)
-    if not (flags.integral and flags.regular):
-        raise ValueError("classical comparison needs an integral regular weight")
-    table = build_kl_table(group, (), lam)
-    coset_of_elt = {}
-    for c in table.tc.cosets:
-        if len(c.member_ids) != 1:
-            raise AssertionError("cosets are not singletons with empty theta")
-        coset_of_elt[c.member_ids[0]] = c.id
-    oracle_p = classical_kl(group)
-    for (v, w), poly in oracle_p.items():
-        gap = group.length(w) - group.length(v)
-        expected = poly.subst_q_power(-2) * LaurentPoly.monomial(gap)
-        ours = table.polys.get((coset_of_elt[w], coset_of_elt[v]), LaurentPoly.zero())
-        if ours != expected:
-            return False
-    # no extra support on the engine side
-    for (cw, cv), poly in table.polys.items():
-        w = table.tc.cosets[cw].member_ids[0]
-        v = table.tc.cosets[cv].member_ids[0]
-        if poly and (v, w) not in oracle_p:
-            return False
-    return True

@@ -4,7 +4,9 @@ recomputation of cosets, cross-sections and integral models.
 
 Everything here deliberately avoids the production code paths (descent
 recursions, lifting-property order, orbit-closure cosets) so that a shared
-bug cannot hide.  Speed is a non-goal.
+bug cannot hide.  The KL engine does not import this module; only
+`kl_classical_relation_check` calls the engine, to compare its output
+with `classical_kl`.  Speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import json
 from dataclasses import dataclass, field
 
 from .cosetlab import IntegralData, ThetaCosets
+from .klengine import build_kl_table
 from .laurent import LaurentPoly
-from .rootsystem import is_integer, pair
+from .rootsystem import Weight, is_integer, pair, weight_flags
 from .weylgroup import WeylGroup
 
 __all__ = [
@@ -22,6 +25,7 @@ __all__ = [
     "OracleReport",
     "bruhat_subword",
     "classical_kl",
+    "kl_classical_relation_check",
     "recompute_cosets",
     "model_order_reflection_chains",
 ]
@@ -149,6 +153,34 @@ def classical_kl(group: WeylGroup) -> dict[tuple[int, int], LaurentPoly]:
                 raise AssertionError(f"bar-invariance solve failed at pair ({v}, {w})")
             p[(v, w)] = candidate
     return p
+
+
+def kl_classical_relation_check(group: WeylGroup, lam: Weight) -> bool:
+    """Check P_{wv}(q) = q^{l(w)-l(v)} P_{v,w}(q^-2) against the
+    R-polynomial oracle, for Theta empty and integral regular lam."""
+    flags = weight_flags(group.rs, lam)
+    if not (flags.integral and flags.regular):
+        raise ValueError("classical comparison needs an integral regular weight")
+    table = build_kl_table(group, (), lam)
+    coset_of_elt = {}
+    for c in table.tc.cosets:
+        if len(c.member_ids) != 1:
+            raise AssertionError("cosets are not singletons with empty theta")
+        coset_of_elt[c.member_ids[0]] = c.id
+    oracle_p = classical_kl(group)
+    for (v, w), poly in oracle_p.items():
+        gap = group.length(w) - group.length(v)
+        expected = poly.subst_q_power(-2) * LaurentPoly.monomial(gap)
+        ours = table.polys.get((coset_of_elt[w], coset_of_elt[v]), LaurentPoly.zero())
+        if ours != expected:
+            return False
+    # no extra support on the engine side
+    for (cw, cv), poly in table.polys.items():
+        w = table.tc.cosets[cw].member_ids[0]
+        v = table.tc.cosets[cv].member_ids[0]
+        if poly and (v, w) not in oracle_p:
+            return False
+    return True
 
 
 def model_order_reflection_chains(group: WeylGroup, idata: IntegralData):

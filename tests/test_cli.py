@@ -258,6 +258,20 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a broken invariant exits 3 with one line, not a traceback or exit 1
+    import whitkl.cli as cli_mod
+
+    def broken_table(*args):
+        raise AssertionError("leading coefficient at 3\nis not 1")
+
+    monkeypatch.setattr(cli_mod, "build_kl_table", broken_table)
+    code, out, err = run_cli(capsys, *GOLDEN_A3_ARGS, "klpolys")
+    assert code == 3
+    assert out == ""
+    assert err == "whitkl: internal error: leading coefficient at 3 is not 1\n"
+
+
 def test_verify_json_format(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,8 @@ from whitkl import (
     t_alpha_model,
 )
 from whitkl.cosetlab import CosetStep
-from whitkl.heckemodule import delta, model_tag
+from whitkl.heckemodule import HeckeElt, delta, model_tag
+from whitkl.klengine import _subtract_mu
 
 from conftest import check_structural_invariants, get_group, lambda_golden_a3
 
@@ -158,6 +160,55 @@ def test_mixed_weight_b2_paths_agree():
         table = build_kl_table(g, theta, lam)
         assert phi_direct(table.tc, lam) == table.phi
         check_structural_invariants(table)
+
+
+def test_phi_direct_equals_transport_d5_nonintegral():
+    # the benchmark's base weight: Path B moves through many weights
+    g = get_group("D", 5)
+    lam = Weight.from_values(
+        [0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1], n_transcendentals=1
+    )
+    table = build_kl_table(g, (), lam)
+    assert table.tc.n_cosets == 1920
+    assert phi_direct(table.tc, lam) == table.phi
+
+
+def _subtract_mu_full_scan(xi, top_length, basis, lengths):
+    """Reference: visit every shorter coset, longest first."""
+    for d in sorted(
+        (d for d in lengths if lengths[d] < top_length),
+        key=lambda d: (-lengths[d], d),
+    ):
+        mu = xi.coeff(d).coeff(0)
+        if mu:
+            xi = xi - basis[d].scale(mu)
+    return xi
+
+
+def test_subtract_mu_clears_support_it_brings_in():
+    # basis[2] and basis[3] carry off-diagonal constants (not KL-shaped),
+    # so subtracting 2 * basis[3] brings coset 2 into the support with a
+    # constant term that must be cleared in turn
+    qinv = LaurentPoly.monomial(-1)
+    lengths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
+
+    def elt(coeffs):
+        return HeckeElt("t", coeffs)
+
+    basis = {
+        0: elt({0: ONE}),
+        1: elt({1: ONE, 0: Q}),
+        2: elt({2: ONE, 0: ONE * 2}),
+        3: elt({3: ONE, 2: ONE, 1: Q, 0: Q}),
+        4: elt({4: ONE, 1: Q}),
+        6: elt({6: ONE, 0: ONE}),
+    }
+    xi = elt({5: ONE, 3: ONE * 2 + Q, 4: qinv, 0: ONE * 3, 6: ONE * 5})
+    got = _subtract_mu(xi, lengths[5], basis.__getitem__, lengths.__getitem__)
+    # coset 6 is as long as the top, so its constant term stays
+    assert got == elt({5: ONE, 3: Q, 4: qinv, 0: Q * -2, 6: ONE * 5, 1: Q * -2})
+    reference = _subtract_mu_full_scan(xi, lengths[5], basis, lengths)
+    assert list(got.coeffs.items()) == list(reference.coeffs.items())
 
 
 def _expand_in_basis(x, basis, lengths):
