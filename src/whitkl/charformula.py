@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .cosetlab import StabilizerData
 from .klengine import KLTable, build_kl_table
+from .laurent import LaurentPoly
 from .rootsystem import Weight, antidominance_witness, is_zero, pair
 from .weylgroup import WeylGroup
 
@@ -113,15 +114,16 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     if len(rep_of_coset) != tc.n_cosets:
         raise AssertionError("stabilizer double cosets do not cover all cosets")
     labels = tuple(stab.a_theta_stab)
+    polys_by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
+    for (c, d), poly in kl.polys.items():
+        polys_by_row.setdefault(c, []).append((d, poly))
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for v in labels:
         c = tc.coset_of[v]
         if tc.cosets[c].shortest != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
         acc: dict[int, int] = {}
-        for (cc, d), poly in kl.polys.items():
-            if cc != c:
-                continue
+        for d, poly in polys_by_row.get(c, ()):
             z = rep_of_coset[d]
             acc[z] = acc.get(z, 0) + poly.eval_minus_one()
         rows[v] = tuple(sorted((z, coeff) for z, coeff in acc.items() if coeff))

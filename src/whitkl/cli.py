@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import laurent
 from .charformula import (
@@ -23,6 +24,7 @@ from .charformula import (
     verma_mode,
 )
 from .cosetlab import build_theta_cosets, integral_data, stabilizer_data
+from .heckemodule import SpaceMismatchError
 from .klengine import build_kl_table, phi_direct
 from .oracle import (
     OracleReport,
@@ -323,10 +325,14 @@ def run_characters(job, invert=False, verma=False):
             stab = stabilizer_data(group, job.theta, job.lam)
             cf = singular_formula(table, stab)
 
+    names: dict[int, str] = {}
+
     def label(x: int) -> str:
-        if cf.label_kind == "coset":
-            return elt_name(group, table.tc.cosets[x].longest)
-        return elt_name(group, x)
+        name = names.get(x)
+        if name is None:
+            elt = table.tc.cosets[x].longest if cf.label_kind == "coset" else x
+            name = names[x] = elt_name(group, elt)
+        return name
 
     data = {
         "context": job.context(),
@@ -425,8 +431,140 @@ def run_verify(job):
 # output formatting
 
 
+_INFINITY = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# JSON text of a scalar, by exact type (bool and NoneType have no subclasses)
+_JSON_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    float: _json_float,
+}
+
+
+def _json_scalar(value):
+    """JSON text of a str, int, float, bool or None, subclasses included;
+    None for any other value."""
+    enc = _JSON_SCALARS.get(type(value))
+    if enc is None:
+        for base in (str, int, float):  # json.encoder's order of tests
+            if isinstance(value, base):
+                enc = _JSON_SCALARS[base]
+                break
+        else:
+            return None
+    return enc(value)
+
+
+def _json_key(key) -> str:
+    """Encoded object key and ": "; a non-str key is written as the text
+    of its JSON value, as json.encoder does."""
+    if not isinstance(key, str):
+        text = _json_scalar(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, "
+                f"not {key.__class__.__name__}"
+            )
+        key = text
+    return encode_basestring(key) + ": "
+
+
 def render_json(data) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """The text of ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
+    newline, written directly.
+
+    With ``indent`` set, ``json.dumps`` does not use its C encoder, and the
+    pure-Python one spends most of a large document's time in generators.
+    This writer appends to one list, encodes each distinct string key once,
+    and writes a list or object whose values are all scalars with a single
+    join.
+    """
+    out: list[str] = []
+    append = out.append
+    scalars = _JSON_SCALARS
+    # encoded str keys; a key of another type is never equal to a str, and
+    # 1, 1.0 and True, equal as dict keys, encode differently
+    key_text: dict[str, str] = {}
+
+    def key(k) -> str:
+        text = _json_key(k)
+        if type(k) is str:
+            key_text[k] = text
+        return text
+
+    def write(value, nl: str) -> None:
+        enc = scalars.get(type(value))
+        if enc is not None:
+            append(enc(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            parts = []
+            for v in value:
+                enc = scalars.get(type(v))
+                if enc is None:
+                    break
+                parts.append(enc(v))
+            else:
+                append("[" + inner + sep.join(parts) + nl + "]")
+                return
+            lead = "[" + inner
+            for v in value:
+                append(lead)
+                write(v, inner)
+                lead = sep
+            append(nl + "]")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            parts = []
+            for k, v in value.items():
+                enc = scalars.get(type(v))
+                if enc is None:
+                    break
+                parts.append((key_text.get(k) or key(k)) + enc(v))
+            else:
+                append("{" + inner + sep.join(parts) + nl + "}")
+                return
+            lead = "{" + inner
+            for k, v in value.items():
+                append(lead + (key_text.get(k) or key(k)))
+                write(v, inner)
+                lead = sep
+            append(nl + "}")
+        else:
+            # a subclass of a scalar type (no type subclasses both a
+            # container and a scalar), or not a JSON value
+            text = _json_scalar(value)
+            if text is None:
+                raise TypeError(
+                    f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable"
+                )
+            append(text)
+
+    write(data, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def parse_output(text: str) -> dict:
@@ -683,14 +821,15 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(render_text(args.command, data))
         return 0
-    except (InputError, ValueError) as exc:
-        sys.stderr.write(f"whitkl: error: {exc}\n")
-        return 1
-    except AssertionError as exc:
-        # a broken internal invariant, not bad input
+    except (AssertionError, SpaceMismatchError) as exc:
+        # a broken internal invariant, not bad input; SpaceMismatchError is
+        # a ValueError, so this clause comes first
         message = " ".join(str(exc).split()) or "assertion failed"
         sys.stderr.write(f"whitkl: internal error: {message}\n")
         return 3
+    except (InputError, ValueError) as exc:
+        sys.stderr.write(f"whitkl: error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

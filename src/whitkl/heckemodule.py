@@ -4,7 +4,14 @@ operators T_alpha, the right W-action on labels, and the restriction map.
 Every element carries a space tag identifying its basis-index set; mixing
 tags is a hard error, because the global coset module and the per-double-
 coset models are all isomorphic-looking and silent index confusion is the
-main hazard here.
+main hazard here.  The operators check their input's tag against the space
+they act on and give their result the input's own tag object, so elements
+derived from one `delta` share it and the check in `+`/`-` succeeds on
+identity; tags that are different objects are still compared by value.
+
+Coefficients are combined with `LaurentPoly` arithmetic, whose results need
+no validation (see `laurent`); the public `HeckeElt(tag, coeffs)` drops
+zero coefficients.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class HeckeElt:
         return tuple(sorted(self.coeffs))
 
     def _check(self, other: "HeckeElt"):
-        if self.tag != other.tag:
+        if self.tag is not other.tag and self.tag != other.tag:
             raise SpaceMismatchError(
                 f"cannot combine elements tagged {self.tag} and {other.tag}"
             )
@@ -67,14 +74,16 @@ class HeckeElt:
         self._check(other)
         coeffs = dict(self.coeffs)
         for cid, poly in other.coeffs.items():
-            coeffs[cid] = coeffs.get(cid, LaurentPoly.zero()) + poly
+            mine = coeffs.get(cid)
+            coeffs[cid] = poly if mine is None else mine + poly
         return HeckeElt(self.tag, coeffs)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
         coeffs = dict(self.coeffs)
         for cid, poly in other.coeffs.items():
-            coeffs[cid] = coeffs.get(cid, LaurentPoly.zero()) - poly
+            mine = coeffs.get(cid)
+            coeffs[cid] = -poly if mine is None else mine - poly
         return HeckeElt(self.tag, coeffs)
 
     def scale(self, factor) -> "HeckeElt":
@@ -101,31 +110,30 @@ def delta(tag, cid: int) -> HeckeElt:
     return HeckeElt(tag, {cid: LaurentPoly.one()})
 
 
+def _own_tag(x: HeckeElt, tag):
+    """x's tag, after checking that it equals tag."""
+    if x.tag is not tag and x.tag != tag:
+        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    return x.tag
+
+
 def _apply_three_case(x: HeckeElt, step_of, tag) -> HeckeElt:
-    q = LaurentPoly.q()
-    qinv = LaurentPoly.monomial(-1)
     out: dict[int, LaurentPoly] = {}
-
-    def accumulate(cid, poly):
-        out[cid] = out.get(cid, LaurentPoly.zero()) + poly
-
     for cid, poly in x.coeffs.items():
         step, target = step_of(cid)
         if step is CosetStep.FIX:
             continue
-        if step is CosetStep.RAISE:
-            accumulate(cid, poly * q)
-        else:
-            accumulate(cid, poly * qinv)
-        accumulate(target, poly)
+        shifted = poly.shift(1 if step is CosetStep.RAISE else -1)
+        prev = out.get(cid)
+        out[cid] = shifted if prev is None else prev + shifted
+        prev = out.get(target)
+        out[target] = poly if prev is None else prev + poly
     return HeckeElt(tag, out)
 
 
 def t_alpha(tc: ThetaCosets, alpha: int, x: HeckeElt) -> HeckeElt:
     """T_alpha on the global module: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
-    tag = global_tag(tc)
-    if x.tag != tag:
-        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    tag = _own_tag(x, global_tag(tc))
     return _apply_three_case(x, lambda cid: tc.times_simple(cid, alpha), tag)
 
 
@@ -133,23 +141,24 @@ def t_alpha_model(model: IntegralModel, alpha_root: int, x: HeckeElt) -> HeckeEl
     """The same three-case operator inside one integral model."""
     if alpha_root not in model.pi_lambda:
         raise ValueError(f"root {alpha_root} is not in Pi_lambda")
-    tag = model_tag(model)
-    if x.tag != tag:
-        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    tag = _own_tag(x, model_tag(model))
     return _apply_three_case(
         x, lambda cid: model.times_simple(cid, alpha_root), tag
     )
 
 
 def right_mult_simple(tc: ThetaCosets, x: HeckeElt, i: int) -> HeckeElt:
-    """Relabel basis indices by C -> C s_i (the right W-action on labels)."""
-    tag = global_tag(tc)
-    if x.tag != tag:
-        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    """Relabel basis indices by C -> C s_i (the right W-action on labels).
+
+    C -> C s_i is a bijection on cosets, so no two coefficients meet.
+    """
+    tag = _own_tag(x, global_tag(tc))
     out: dict[int, LaurentPoly] = {}
     for cid, poly in x.coeffs.items():
         _, target = tc.times_simple(cid, i)
-        out[target] = out.get(target, LaurentPoly.zero()) + poly
+        if target in out:
+            raise AssertionError(f"C -> C s_{i} sends two cosets to {target}")
+        out[target] = poly
     return HeckeElt(tag, out)
 
 
@@ -160,9 +169,7 @@ def restrict_lambda(
     x: HeckeElt,
 ) -> list[HeckeElt]:
     """Split along double cosets and relabel into each integral model."""
-    tag = global_tag(tc)
-    if x.tag != tag:
-        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    _own_tag(x, global_tag(tc))
     pieces = []
     seen: set[int] = set()
     for model in models:

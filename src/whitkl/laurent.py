@@ -4,6 +4,14 @@ Polynomials are kept in sparse canonical form (no zero coefficients), so
 equal values always compare and render identically.  The text form used by
 the CLI and golden files writes terms with descending exponents, e.g.
 ``q^2 + 3*q - 1``.
+
+Validation happens at the boundary: the public constructor
+``LaurentPoly(terms)`` checks that every exponent and coefficient is an
+``int`` and drops zero coefficients, and :func:`parse` checks the text form.
+Arithmetic on values that are already ``LaurentPoly``s (``+``, ``-``, ``*``,
+:meth:`LaurentPoly.shift`, ...) yields int exponents and coefficients by
+construction, drops zeros as it goes and wraps its result with the private
+``_trusted``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -54,38 +62,56 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return LaurentPoly(terms)
+            total = terms.get(exp, 0) + coeff
+            if total:
+                terms[exp] = total
+            else:
+                del terms[exp]
+        return _trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self._terms)
+        for exp, coeff in other._terms.items():
+            total = terms.get(exp, 0) - coeff
+            if total:
+                terms[exp] = total
+            else:
+                del terms[exp]
+        return _trusted(terms)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            if not other:
+                return _trusted({})
+            return _trusted({e: c * other for e, c in self._terms.items()})
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         terms = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(terms)
+        return _trusted({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
+
+    def shift(self, k: int) -> "LaurentPoly":
+        """Multiply by q^k."""
+        return _trusted({e + k: c for e, c in self._terms.items()})
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -135,11 +161,11 @@ class LaurentPoly:
 
     def subst_q_power(self, m: int) -> "LaurentPoly":
         """Substitute q -> q^m (exponent dilation; m may be negative)."""
-        return LaurentPoly({e * m: c for e, c in self._terms.items()})
+        return _trusted({e * m: c for e, c in self._terms.items()})
 
     def truncate_above(self, bound: int) -> "LaurentPoly":
         """Keep only the terms of exponent <= bound."""
-        return LaurentPoly({e: c for e, c in self._terms.items() if e <= bound})
+        return _trusted({e: c for e, c in self._terms.items() if e <= bound})
 
     # -- text form -------------------------------------------------------
 
@@ -164,6 +190,17 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.text()!r})"
+
+
+_new = object.__new__
+
+
+def _trusted(terms: dict) -> LaurentPoly:
+    """Wrap terms, a dict from int exponents to nonzero int coefficients
+    that the new value owns, without checking it."""
+    poly = _new(LaurentPoly)
+    poly._terms = terms
+    return poly
 
 
 def _coerce(value):

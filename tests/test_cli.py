@@ -6,11 +6,17 @@ import pytest
 from whitkl import LaurentPoly, Weight
 from whitkl.cli import (
     InputError,
+    Job,
     main,
     parse_lambda,
     parse_output,
     parse_theta,
     parse_type,
+    render_json,
+    run_characters,
+    run_cosets,
+    run_info,
+    run_klpolys,
 )
 
 from conftest import lambda_golden_a3
@@ -272,6 +278,22 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "whitkl: internal error: leading coefficient at 3 is not 1\n"
 
 
+def test_space_mismatch_is_an_internal_error(capsys, monkeypatch):
+    # SpaceMismatchError is a ValueError, but a mixed-up space tag is a
+    # broken invariant, not bad input
+    import whitkl.cli as cli_mod
+    from whitkl.heckemodule import SpaceMismatchError
+
+    def broken_table(*args):
+        raise SpaceMismatchError("cannot combine elements tagged a and b")
+
+    monkeypatch.setattr(cli_mod, "build_kl_table", broken_table)
+    code, out, err = run_cli(capsys, *GOLDEN_A3_ARGS, "klpolys")
+    assert code == 3
+    assert out == ""
+    assert err == "whitkl: internal error: cannot combine elements tagged a and b\n"
+
+
 def test_verify_json_format(capsys):
     code, out, err = run_cli(
         capsys,
@@ -306,3 +328,73 @@ def test_singular_characters_via_cli(capsys):
     assert code == 0, err
     data = json.loads(out)
     assert len(data["characters"]) == 3
+
+
+def _reference_json(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("info",),
+        ("cosets",),
+        ("klpolys",),
+        ("characters",),
+        ("characters", "--invert"),
+        ("characters", "--verma"),
+    ],
+)
+def test_render_json_matches_json_dumps_golden_a3(command):
+    job = Job("A", 3, (0, 1), lambda_golden_a3())
+    name, *flags = command
+    if name == "info":
+        data = run_info(job)
+    elif name == "cosets":
+        data = run_cosets(job)
+    elif name == "klpolys":
+        data = run_klpolys(job)
+    else:
+        data = run_characters(
+            job, invert="--invert" in flags, verma="--verma" in flags
+        )
+    assert render_json(data) == _reference_json(data)
+
+
+def test_render_json_matches_json_dumps_edge_cases():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    data = {
+        "greek": "α+β, s_γ s_δ",
+        "quotes": 'say "hi"',
+        "backslash": "a\\b\\",
+        "control": "tab\tnl\ncr\rnul\x00bell\x07\x1f",
+        "empty_dict": {},
+        "empty_list": [],
+        "nested_empty": [[], {}, [[]], {"x": {}}],
+        "none": None,
+        "bools": [True, False],
+        "ints": [0, -1, -(10**30), 10**40],
+        "float": 1.5,
+        "floats": [0.1, -2.0, 1e300, float("inf"), float("-inf"), float("nan")],
+        "tuple": (1, "two", (3, [4])),
+        "mixed": [1, {"a": [2, {"b": None}]}, "c"],
+        "subclasses": [Name("n"), Count(7)],
+        "keys": {1: "int", 2.5: "float", None: "none", Name("κ"): Count(3)},
+        "bool_keys": {True: "t", False: "f"},
+    }
+    assert render_json(data) == _reference_json(data)
+    for value in [None, True, 0, -3, 2.25, "α", "", [], {}, (), [None], {"k": []}]:
+        assert render_json(value) == _reference_json(value)
+
+
+def test_render_json_rejects_what_json_dumps_rejects():
+    for bad in [{"x": {1, 2}}, [object()], {(1, 2): 3}, Fraction(1, 2)]:
+        with pytest.raises(TypeError):
+            _reference_json(bad)
+        with pytest.raises(TypeError):
+            render_json(bad)

@@ -204,3 +204,48 @@ def test_commuting_square_conjugation(ctx):
                         transport(delta(model_tag(model), f)),
                     )
                     assert lhs == rhs
+
+
+def test_right_mult_simple_twice_is_identity_on_full_support():
+    # C -> C s_i is a bijection, so relabelling an element supported on
+    # every coset twice by s_i returns it unchanged
+    group = get_group("A", 3)
+    for theta in [(), (0,), (0, 1), (0, 2)]:
+        tc = build_theta_cosets(group, theta)
+        tag = global_tag(tc)
+        x = HeckeElt(
+            tag, {c: LaurentPoly.monomial(c % 5 - 2, c + 1) for c in range(tc.n_cosets)}
+        )
+        for i in range(3):
+            once = right_mult_simple(tc, x, i)
+            assert set(once.coeffs) == set(range(tc.n_cosets))
+            assert right_mult_simple(tc, once, i) == x
+
+
+def test_right_mult_simple_rejects_a_non_bijective_relabelling(ctx):
+    group, tc, idata, models = ctx
+
+    class Collapsing:
+        # same space as tc, but every coset maps to coset 0
+        theta = tc.theta
+
+        @staticmethod
+        def times_simple(c, i):
+            return None, 0
+
+    x = HeckeElt(global_tag(tc), {0: Q, 1: QINV})
+    with pytest.raises(AssertionError, match="two cosets"):
+        right_mult_simple(Collapsing, x, 0)
+
+
+def test_tag_checks_compare_by_value_after_identity(ctx):
+    # equal tags that are different objects combine; the result keeps the
+    # left operand's tag object
+    group, tc, idata, models = ctx
+    x = delta(global_tag(tc), 0)
+    y = delta(global_tag(tc), 1)
+    assert x.tag is not y.tag
+    total = x + y
+    assert total.tag is x.tag
+    assert total - y == x
+    assert t_alpha(tc, 2, x).tag is x.tag

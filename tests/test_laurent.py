@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -104,3 +105,42 @@ def test_eval_is_ring_morphism():
 def test_subst_q_power():
     p = LaurentPoly({2: 1, 1: 1})
     assert p.subst_q_power(-2) == LaurentPoly({-4: 1, -2: 1})
+
+
+def test_results_stay_canonical_after_cancellation():
+    p = (Q + 1) - (Q + 1)
+    assert not p
+    assert p.text() == "0"
+    assert p == LaurentPoly.zero()
+    assert hash(p) == hash(LaurentPoly.zero())
+    assert not (Q * QINV - 1)
+    assert not (Q + QINV + (-Q) + (-QINV))
+    assert not ((1 + Q) * (1 - Q) - (1 - Q * Q))
+    assert hash((Q + 2) - 2) == hash(Q)
+    assert 1 - Q == -(Q - 1)
+
+
+def test_scalar_multiplication():
+    p = LaurentPoly({2: 3, -1: -1})
+    assert not p * 0
+    assert not 0 * p
+    assert (p * 0).text() == "0"
+    assert hash(p * 0) == hash(LaurentPoly.zero())
+    assert p * -2 == LaurentPoly({2: -6, -1: 2})
+    assert p * 1 == p
+    assert p * 3 == p * LaurentPoly.monomial(0, 3)
+
+
+def test_shift():
+    p = LaurentPoly({2: 3, -1: -1})
+    assert p.shift(1) == p * Q
+    assert p.shift(-1) == p * QINV
+    assert p.shift(0) == p
+    assert p.shift(-2).text() == "3 - q^-3"
+    assert not LaurentPoly.zero().shift(4)
+
+
+def test_public_constructor_still_validates():
+    for bad in [{1.0: 1}, {1: 1.5}, {"q": 1}, {0: Fraction(1, 2)}]:
+        with pytest.raises(TypeError):
+            LaurentPoly(bad)
