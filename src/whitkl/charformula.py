@@ -75,24 +75,26 @@ def invert_multiplicities(cf: CharacterFormula) -> list[list[int]]:
         raise ValueError("only regular-mode formulas can be inverted")
     n = len(cf.labels)
     index = {label: i for i, label in enumerate(cf.labels)}
-    m = [[0] * n for _ in range(n)]
-    for label, entries in cf.rows.items():
-        for target, coeff in entries:
-            m[index[label]][index[target]] = coeff
-    # labels are sorted by coset length, so m is lower unitriangular, and
-    # so is its inverse: row j of it is nonzero only in columns support[j]
+    # labels are sorted by coset length, so the coefficient matrix is lower
+    # unitriangular, and so is its inverse: row j of it is nonzero only in
+    # columns support[j].  Row i of the matrix is read from cf.rows.
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     support: list[list[int]] = []
-    for i in range(n):
-        if m[i][i] != 1:
-            raise AssertionError("coefficient matrix is not unitriangular")
+    for i, label in enumerate(cf.labels):
         row = inv[i]
-        for j in range(i):
-            f = m[i][j]
-            if f:
+        diagonal = 0
+        for target, f in cf.rows.get(label, ()):
+            j = index[target]
+            if j == i:
+                diagonal = f
+            elif f:
+                if j > i:
+                    raise AssertionError("coefficient matrix is not unitriangular")
                 inv_j = inv[j]
                 for k in support[j]:
                     row[k] -= f * inv_j[k]
+        if diagonal != 1:
+            raise AssertionError("coefficient matrix is not unitriangular")
         support.append([k for k in range(i + 1) if row[k]])
     return inv
 

@@ -4,7 +4,8 @@ Subcommands: info, cosets, klpolys, characters, verify.  Output formats:
 text (default), json, latex.  All output is byte-stable for identical
 inputs: orderings are fixed everywhere and no randomness is involved.
 
-Exit codes: 0 ok, 1 input error, 2 verification failure.
+Exit codes: 0 ok, 1 input error, 2 verification failure, 3 internal error
+(a broken invariant, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .charformula import (
     singular_formula,
     verma_mode,
 )
-from .cosetlab import build_theta_cosets, integral_data, stabilizer_data
+from .cosetlab import stabilizer_data
 from .heckemodule import SpaceMismatchError
 from .klengine import build_kl_table, phi_direct
 from .oracle import (
@@ -275,9 +276,8 @@ def _model_entry(job, model):
 
 
 def run_info(job):
-    tc = build_theta_cosets(job.group, job.theta)
-    idata = integral_data(job.group, job.theta, job.lam)
     table = build_kl_table(job.group, job.theta, job.lam)
+    tc, idata = table.tc, table.idata
     data = {
         "context": job.context(),
         "sigma_lambda_pos": [root_name(job.rs, r) for r in idata.sigma_lambda_pos],
@@ -404,10 +404,11 @@ def run_verify(job):
     report.add("bruhat-vs-subword", f"{scope} {kind}", ok, witness)
     # definition-level coset recomputation
     if job.lam is not None and job.rs.rank <= 3:
-        tc = build_theta_cosets(group, job.theta)
-        idata = integral_data(group, job.theta, job.lam)
         table = build_kl_table(group, job.theta, job.lam)
-        sub = recompute_cosets(group, job.theta, job.lam, tc, idata, table.models)
+        tc = table.tc
+        sub = recompute_cosets(
+            group, job.theta, job.lam, tc, table.idata, table.models
+        )
         report.checks.extend(sub.checks)
         # the two phi paths must agree
         pd = phi_direct(tc, job.lam)

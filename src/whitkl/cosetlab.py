@@ -8,6 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -225,45 +227,51 @@ def _cartan_inverse(rs: RootSystem):
     return inv
 
 
-def _in_root_lattice(cartan_inv, value_vector) -> bool:
-    """Whether a weight given by coroot values lies in Z.Sigma.
+def _root_lattice_stabilizer(group: WeylGroup, lam: Weight) -> frozenset[int]:
+    """{w : w lam - lam in Z.Sigma}, read off the integer orbit of lam.
 
-    Membership needs cartan^-1 * values integral and vanishing
-    transcendental parts.
+    With rows[w] = den * (coroot values of w lam) as in
+    ``WeylGroup.weight_orbit``, let d = rows[w] - rows[0].  Then
+    w lam - lam lies in Z.Sigma iff the transcendental parts of d vanish
+    and cartan^-1 applied to its rational parts, divided by den, is
+    integral: iff e * cartan^-1 * d is divisible by e * den, for the least
+    e making e * cartan^-1 an integer matrix.
     """
-    for _, tvec in value_vector:
-        if any(c != 0 for c in tvec):
-            return False
-    for row in cartan_inv:
-        entry = sum(x * v[0] for x, v in zip(row, value_vector))
-        if entry.denominator != 1:
-            return False
-    return True
+    inv = _cartan_inverse(group.rs)
+    e = math.lcm(*(x.denominator for row in inv for x in row))
+    e_inv = [[int(x * e) for x in row] for row in inv]
+    den, rows = group.weight_orbit(lam)
+    modulus = e * den
+    stride = 1 + lam.n_transcendentals
+    base = rows[0]
+    base_rational = base[::stride]
+    base_t = [base[t::stride] for t in range(1, stride)]
+    members = []
+    for w, row in enumerate(rows):
+        if any(row[t::stride] != bt for t, bt in enumerate(base_t, 1)):
+            continue
+        d = [x - b for x, b in zip(row[::stride], base_rational)]
+        if all(sum(map(operator.mul, e_row, d)) % modulus == 0 for e_row in e_inv):
+            members.append(w)
+    return frozenset(members)
 
 
 def integral_data(group: WeylGroup, theta, lam: Weight) -> IntegralData:
+    """Integral roots, W_lambda and the cross-sections A_lambda, A_Theta_lambda.
+
+    W_lambda is generated by the reflections of Pi_lambda and checked on
+    every call against its lattice description {w : w lam - lam in Z.Sigma},
+    which is read off the integer orbit rows of ``WeylGroup.weight_orbit``
+    (den * coroot values of w lam, rational part then transcendental
+    coefficients per simple coroot); see ``_root_lattice_stabilizer``.
+    """
     rs = group.rs
     if lam.rank != rs.rank:
         raise ValueError("weight rank does not match root system")
     sigma_pos = _integral_positive_roots(rs, lam)
     pi_lambda = _simple_roots_of(rs, sigma_pos)
-    w_lambda = group.subgroup_closure([group.reflection(r) for r in sigma_pos])
-    # cross-check the lattice description {w : w lam - lam in Z.Sigma}
-    cartan_inv = _cartan_inverse(rs)
-    lattice_stab = frozenset(
-        w
-        for w in range(group.size)
-        if _in_root_lattice(
-            cartan_inv,
-            [
-                (
-                    wv[0] - lv[0],
-                    tuple(a - b for a, b in zip(wv[1], lv[1])),
-                )
-                for wv, lv in zip(group.act_on_weight(w, lam).coords, lam.coords)
-            ],
-        )
-    )
+    w_lambda = group.subgroup_closure([group.reflection(r) for r in pi_lambda])
+    lattice_stab = _root_lattice_stabilizer(group, lam)
     if lattice_stab != w_lambda:
         raise AssertionError(
             "integral Weyl group disagrees with its lattice description"
@@ -637,9 +645,8 @@ def stabilizer_data(group: WeylGroup, theta, lam: Weight) -> StabilizerData:
         raise ValueError(
             f"lambda is not antidominant: coroot pairing {value} on root {root}"
         )
-    stab = frozenset(
-        w for w in range(group.size) if group.act_on_weight(w, lam) == lam
-    )
+    _, rows = group.weight_orbit(lam)
+    stab = frozenset(w for w, row in enumerate(rows) if row == rows[0])
     zero_pos = [
         r for r in range(rs.positive_root_count) if is_zero(pair(rs, r, lam))
     ]

@@ -7,6 +7,7 @@ they are stable across runs and usable in golden files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .rootsystem import RootSystem, Weight, pair
@@ -114,6 +115,45 @@ class WeylGroup:
         inv = self.elements[self.inverse[w]].images
         coords = tuple(pair(self.rs, inv[i], lam) for i in range(self.rs.rank))
         return Weight(coords, lam.n_transcendentals)
+
+    def weight_orbit(self, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
+        """The W-orbit of lam in integers: (den, rows), indexed by element id.
+
+        den is the least common denominator of every rational and
+        transcendental part of lam's coordinates.  rows[w] is one flat
+        tuple holding den * alpha_i^vee(w lam) for each simple coroot i in
+        turn: its rational part, then its coefficient on each
+        transcendental, so rows[w][i * (1 + k) + j] with k transcendentals.
+        Ids are in BFS order, so for w = s_i w' with i = word[0] the row of
+        w' = left_table[w][i] is filled first, and
+        alpha_j^vee(s_i mu) = mu_j - cartan[j][i] * mu_i
+        gives w's row from it with integer work only.  Nothing is cached.
+        """
+        if lam.rank != self.rs.rank:
+            raise ValueError(
+                f"weight rank {lam.rank} does not match system rank {self.rs.rank}"
+            )
+        stride = 1 + lam.n_transcendentals
+        values = [x for rational, tvec in lam.coords for x in (rational, *tvec)]
+        den = math.lcm(*(x.denominator for x in values))
+        cartan = self.rs.cartan_matrix
+        # for s_i: the (start of coroot j's values, cartan[j][i]) it changes
+        moves = [
+            [(j * stride, cartan[j][i]) for j in range(self.rs.rank) if cartan[j][i]]
+            for i in range(self.rs.rank)
+        ]
+        rows = [tuple(x.numerator * (den // x.denominator) for x in values)]
+        left = self.left_table
+        for w in range(1, self.size):
+            i = self.elements[w].word[0]
+            parent = rows[left[w][i]]
+            mu_i = parent[i * stride : (i + 1) * stride]
+            row = list(parent)
+            for start, c in moves[i]:
+                for t, m in enumerate(mu_i, start):
+                    row[t] -= c * m
+            rows.append(tuple(row))
+        return den, rows
 
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""

@@ -1,6 +1,7 @@
 import pytest
 
 from whitkl import (
+    CharacterFormula,
     Weight,
     build_kl_table,
     invert_multiplicities,
@@ -64,6 +65,20 @@ def test_invert_times_original_is_identity(cf_g):
         for j in range(n):
             total = sum(inverse[i][k] * original[k][j] for k in range(n))
             assert total == (1 if i == j else 0)
+
+
+def test_invert_reads_sparse_rows_and_rejects_non_unitriangular():
+    # labels need not be 0..n-1; rows list only nonzero entries
+    rows = {7: ((7, 1),), 3: ((7, 2), (3, 1)), 5: ((7, -1), (3, 4), (5, 1))}
+    cf = CharacterFormula("regular", "element", (7, 3, 5), rows)
+    assert invert_multiplicities(cf) == [[1, 0, 0], [-2, 1, 0], [9, -4, 1]]
+    rows = {0: ((0, 1), (1, 3)), 1: ((1, 1),)}
+    above = CharacterFormula("regular", "coset", (0, 1), rows)
+    with pytest.raises(AssertionError, match="unitriangular"):
+        invert_multiplicities(above)
+    missing = CharacterFormula("regular", "coset", (0, 1), {0: ((0, 1),)})
+    with pytest.raises(AssertionError, match="unitriangular"):
+        invert_multiplicities(missing)
 
 
 def test_invert_rejects_singular_mode():

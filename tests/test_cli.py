@@ -294,6 +294,25 @@ def test_space_mismatch_is_an_internal_error(capsys, monkeypatch):
     assert err == "whitkl: internal error: cannot combine elements tagged a and b\n"
 
 
+def test_wrong_integral_weyl_group_is_an_internal_error(capsys, monkeypatch):
+    # the lattice cross-check in integral_data runs on every CLI call
+    from whitkl.weylgroup import WeylGroup
+
+    real = WeylGroup.subgroup_closure
+
+    def wrong(self, generator_ids):
+        return real(self, generator_ids) ^ {self.longest_id}
+
+    monkeypatch.setattr(WeylGroup, "subgroup_closure", wrong)
+    code, out, err = run_cli(capsys, *GOLDEN_A3_ARGS, "klpolys")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "whitkl: internal error: "
+        "integral Weyl group disagrees with its lattice description\n"
+    )
+
+
 def test_verify_json_format(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from whitkl import (
 )
 from whitkl.cosetlab import _double_coset_rep
 from whitkl.rootsystem import is_integer, pair
+from whitkl.weylgroup import WeylGroup
 
 from conftest import get_group, lambda_golden_a3
 
@@ -348,3 +350,97 @@ def test_stabilizer_rejects_non_antidominant(a3):
         stabilizer_data(a3, (), Weight.from_values([1, -1, -1]))
     stab = stabilizer_data(a3, (), Weight.zero(3))
     assert stab.w_stab_ids == frozenset(range(a3.size))
+
+
+def _solve(matrix, rhs):
+    """The rational solution x of matrix . x = rhs (matrix invertible)."""
+    n = len(rhs)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+def _lattice_reference(group, lam):
+    """{w : w lam - lam in Z.Sigma}, in Fractions, one element at a time."""
+    cartan = group.rs.cartan_matrix
+    members = set()
+    for w in range(group.size):
+        diff = [
+            (mv[0] - lv[0], [a - b for a, b in zip(mv[1], lv[1])])
+            for mv, lv in zip(group.act_on_weight(w, lam).coords, lam.coords)
+        ]
+        if any(c != 0 for _, tvec in diff for c in tvec):
+            continue
+        # coroot values v = cartan . (coefficients on the simple roots)
+        coeffs = _solve(cartan, [r for r, _ in diff])
+        if all(c.denominator == 1 for c in coeffs):
+            members.add(w)
+    return frozenset(members)
+
+
+INTEGRAL_CASES = [
+    ("A", 3, lambda_golden_a3()),
+    ("B", 3, Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2)])),
+    ("C", 3, Weight.from_values([(-1, (Fraction(1, 2),)), Fraction(-1, 2), -1])),
+    ("G", 2, Weight.from_values([Fraction(-1, 3), -1])),
+    ("B", 4, Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2), -1])),
+    ("D", 4, Weight.from_values([(-1, (1, 2)), (-2, (-1, 0)), Fraction(-2, 3), -1])),
+    ("D", 5, Weight.from_values([0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1])),
+    ("F", 4, Weight.minus_rho(4)),
+]
+
+
+@pytest.mark.parametrize("letter, rank, lam", INTEGRAL_CASES)
+def test_integral_weyl_group_matches_fraction_lattice_reference(letter, rank, lam):
+    g = get_group(letter, rank)
+    idata = integral_data(g, (), lam)
+    assert idata.w_lambda_ids == _lattice_reference(g, lam)
+
+
+STABILIZER_CASES = [
+    ("A", 3, Weight.zero(3)),
+    ("A", 3, Weight.from_values([0, -1, 0])),
+    ("B", 3, Weight.from_values([0, Fraction(-1, 2), 0])),
+    ("C", 3, Weight.from_values([(0, (0,)), (-1, (1,)), 0])),
+    ("G", 2, Weight.from_values([0, Fraction(-1, 3)])),
+    ("B", 4, Weight.from_values([0, -1, 0, Fraction(-1, 2)])),
+    ("D", 5, Weight.from_values([0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1])),
+]
+
+
+@pytest.mark.parametrize("letter, rank, lam", STABILIZER_CASES)
+def test_stabilizer_matches_brute_force_scan(letter, rank, lam):
+    g = get_group(letter, rank)
+    stab = stabilizer_data(g, (), lam)
+    assert stab.w_stab_ids == frozenset(
+        w for w in range(g.size) if g.act_on_weight(w, lam) == lam
+    )
+    assert len(stab.w_stab_ids) > 1
+
+
+@pytest.fixture
+def wrong_closure(monkeypatch):
+    """subgroup_closure with the longest element toggled in or out."""
+    real = WeylGroup.subgroup_closure
+
+    def wrong(self, generator_ids):
+        return real(self, generator_ids) ^ {self.longest_id}
+
+    monkeypatch.setattr(WeylGroup, "subgroup_closure", wrong)
+
+
+def test_integral_data_check_fires(a3, wrong_closure):
+    with pytest.raises(AssertionError, match="lattice description"):
+        integral_data(a3, (0, 1), lambda_golden_a3())
+
+
+def test_stabilizer_check_fires(a3, wrong_closure):
+    with pytest.raises(AssertionError, match="zero roots"):
+        stabilizer_data(a3, (), Weight.from_values([0, -1, 0]))

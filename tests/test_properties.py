@@ -1,0 +1,45 @@
+"""Property-based tests (hypothesis, from the ``test`` extra)."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from whitkl import Weight  # noqa: E402
+
+from conftest import get_group  # noqa: E402
+
+RANK_AT_MOST_3 = [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+    ("C", 2), ("C", 3), ("D", 3), ("G", 2),
+]
+
+small_rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.integers(1, 6)
+)
+
+
+@st.composite
+def type_and_weight(draw):
+    letter, rank = draw(st.sampled_from(RANK_AT_MOST_3))
+    k = draw(st.integers(0, 2))
+    coords = [
+        (draw(small_rationals), tuple(draw(small_rationals) for _ in range(k)))
+        for _ in range(rank)
+    ]
+    return letter, rank, Weight.from_values(coords, n_transcendentals=k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(type_and_weight())
+def test_weight_orbit_agrees_with_act_on_weight(case):
+    letter, rank, lam = case
+    g = get_group(letter, rank)
+    den, rows = g.weight_orbit(lam)
+    for w in range(g.size):
+        mu = g.act_on_weight(w, lam)
+        assert rows[w] == tuple(
+            den * x for rational, tvec in mu.coords for x in (rational, *tvec)
+        )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -190,3 +191,62 @@ def test_reflection_in_every_root(letter, rank):
         for q in range(rs.n_roots):
             if rs.root_pairing(r, q) == 0:
                 assert g.act_on_root(s, q) == q
+
+
+def _orbit_weights(rank):
+    """A rational, a half-integral and a two-transcendental weight."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    return [
+        Weight.from_values([-(i + 1) * third for i in range(rank)]),
+        Weight.from_values([-half if i % 2 == 0 else -1 for i in range(rank)]),
+        Weight.from_values(
+            [
+                (-1 - i * half, (Fraction(i - 1), Fraction(1, i + 2)))
+                for i in range(rank)
+            ],
+            n_transcendentals=2,
+        ),
+    ]
+
+
+def _scaled(mu, den):
+    return tuple(den * x for rational, tvec in mu.coords for x in (rational, *tvec))
+
+
+@pytest.mark.parametrize(
+    "letter, rank",
+    [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("B", 4), ("D", 4), ("D", 5)],
+)
+def test_weight_orbit_matches_act_on_weight(letter, rank):
+    g = get_group(letter, rank)
+    for lam in _orbit_weights(rank):
+        den, rows = g.weight_orbit(lam)
+        assert len(rows) == g.size
+        assert all(type(x) is int for x in rows[0])
+        # den is the least common denominator of lam's parts
+        assert den == math.lcm(*(x.denominator for x in _scaled(lam, 1)))
+        for w in range(g.size):
+            assert rows[w] == _scaled(g.act_on_weight(w, lam), den), (lam, w)
+
+
+def test_weight_orbit_f4_minus_rho():
+    g = get_group("F", 4)
+    lam = Weight.minus_rho(4)
+    den, rows = g.weight_orbit(lam)
+    assert den == 1
+    for w in range(g.size):
+        assert rows[w] == _scaled(g.act_on_weight(w, lam), 1)
+    assert rows[g.longest_id] == (1, 1, 1, 1)
+
+
+def test_weight_orbit_golden_a3_layout(a3_group, lam_g):
+    # per simple coroot: rational part, then each transcendental coefficient
+    den, rows = a3_group.weight_orbit(lam_g)
+    assert den == 1
+    assert rows[0] == (-5, -4, -5, 4, -5, 0)
+    assert rows[a3_group.simple_ids[0]] == (5, 4, -10, 0, -5, 0)
+
+
+def test_weight_orbit_rank_mismatch(a3_group):
+    with pytest.raises(ValueError):
+        a3_group.weight_orbit(Weight.minus_rho(2))
