@@ -22,6 +22,7 @@ __all__ = [
     "invert_multiplicities",
     "singular_formula",
     "verma_mode",
+    "verma_formula",
 ]
 
 
@@ -135,7 +136,11 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
 def verma_mode(group: WeylGroup, lam: Weight) -> CharacterFormula:
     """The full pipeline with empty Theta; labels are group elements."""
     _require_antidominant(group, lam, regular_needed=True)
-    kl = build_kl_table(group, (), lam)
+    return verma_formula(build_kl_table(group, (), lam))
+
+
+def verma_formula(kl: KLTable) -> CharacterFormula:
+    """The regular rows of a table with empty Theta, labelled by elements."""
     cf = regular_formula(kl)
     member = {c.id: c.member_ids[0] for c in kl.tc.cosets}
     labels = tuple(member[c] for c in cf.labels)

@@ -22,7 +22,7 @@ from .charformula import (
     invert_multiplicities,
     regular_formula,
     singular_formula,
-    verma_mode,
+    verma_formula,
 )
 from .cosetlab import stabilizer_data
 from .heckemodule import SpaceMismatchError
@@ -314,8 +314,8 @@ def run_klpolys(job):
 def run_characters(job, invert=False, verma=False):
     group = job.group
     if verma:
-        cf = verma_mode(group, job.lam)
         table = build_kl_table(group, (), job.lam)
+        cf = verma_formula(table)
     else:
         table = build_kl_table(group, job.theta, job.lam)
         flags = weight_flags(job.rs, job.lam)

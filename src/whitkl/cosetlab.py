@@ -1,9 +1,12 @@
-"""Right W_Theta-cosets, integral data, cross-sections, integral models,
-conjugation transport, descent-chain search, and stabilizer data.
+"""Right cosets and their order, integral data, cross-sections, integral
+models, conjugation transport, descent-chain search, and stabilizer data.
 
-Coset ids (global and model-level) are assigned by sorting on
-(length of longest element, element id), so all derived tables are
-deterministic.
+One class, ThetaCosets, holds W_J \\ W' for a Coxeter system (W', S')
+inside the Weyl group and a subset J of S': the global cosets are
+(W, simple reflections, Theta), and an integral model's cosets are
+(W_lambda, reflections of Pi_lambda, Theta(u,lambda)).  Coset ids are
+assigned by sorting on (length of longest element, element id), so all
+derived tables are deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ __all__ = [
     "ThetaCosets",
     "IntegralData",
     "IntegralModel",
+    "IntegralSystem",
     "StabilizerData",
-    "SubgroupBruhat",
     "build_theta_cosets",
     "integral_data",
     "build_integral_model",
@@ -57,83 +60,92 @@ class CosetRecord:
 
 
 class ThetaCosets:
-    """The set W_Theta \\ W with its partial order and simple-step moves.
+    """W_J \\ W', the right cosets of a standard parabolic subgroup W_J of a
+    Coxeter system (W', S') inside the Weyl group, with their Bruhat order
+    and simple-step moves.
 
-    The order is the Bruhat order on longest coset elements.  It is kept
-    as one lower ideal per coset: an int bitset over coset ids with bit C
-    set iff C <= D.  Ideals are built on first use and memoised, from the
-    subword property [e, w] = [e, ws] u [e, ws] s for ws < w (Bjorner and
-    Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read on cosets:
-    ideal(0) = {0}, and for a LOWER step C s,
+    W' is given by its member ids, S' by a dict from each generator label
+    s to its right-step table (steps[s][w] is the id of w s), its length
+    function by a table of lengths by id, and J by a subset of the
+    generator labels.
+    ``build_theta_cosets`` makes (W, simple reflections, Theta), and
+    ``IntegralSystem.cosets`` makes (W_lambda, reflections of Pi_lambda,
+    Theta(u,lambda)) for the integral models.  ``theta`` holds J.
+
+    The order is the Bruhat order of (W', S') on longest coset elements.
+    It is kept as one lower ideal per coset: an int bitset over coset ids
+    with bit C set iff C <= D.  Ideals are built on first use and memoised,
+    from the subword property [e, w] = [e, ws] u [e, ws] s for ws < w
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read
+    on cosets: ideal(0) = {0}, and for a LOWER step C s,
     ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}.  Coset ids ascend with
     length, so ideal(C) has no bit above C.  All ideals together take at
     most n^2/8 bytes for n cosets (0.46 MB for D5 with Theta empty).
     """
 
-    def __init__(self, group: WeylGroup, theta):
+    def __init__(self, group: WeylGroup, members, steps, lengths, theta):
         self.group = group
-        self.theta = tuple(sorted(theta))
-        if any(not 0 <= i < group.rs.rank for i in self.theta):
-            raise ValueError(f"theta {theta} not a subset of simple indices")
-        self.w_theta_ids = group.subgroup_closure(
-            [group.simple_ids[i] for i in self.theta]
-        )
-        self._build()
+        self.theta = tuple(theta)
+        self._steps = steps
+        self._build(members, lengths)
 
-    def _build(self):
-        group = self.group
-        coset_of = [-1] * group.size
+    def _build(self, members, lengths):
+        # W_J w = (w^-1 W_J)^-1, and w^-1 W_J is a right-step orbit
+        inverse = self.group.inverse
+        theta_steps = [self._steps[j] for j in self.theta]
+        seen = set()
         raw = []
-        for start in range(group.size):
-            if coset_of[start] != -1:
+        for start in members:
+            if start in seen:
                 continue
-            members = {start}
-            queue = [start]
+            orbit = {inverse[start]}
+            queue = [inverse[start]]
             while queue:
                 x = queue.pop()
-                for i in self.theta:
-                    y = group.left_table[x][i]
-                    if y not in members:
-                        members.add(y)
+                for step in theta_steps:
+                    y = step[x]
+                    if y not in orbit:
+                        orbit.add(y)
                         queue.append(y)
-            for x in members:
-                coset_of[x] = len(raw)
-            raw.append(members)
-        order_key = []
-        for members in raw:
-            longest = max(members, key=lambda x: (group.length(x), x))
-            order_key.append((group.length(longest), longest))
-        ranking = sorted(range(len(raw)), key=lambda k: order_key[k])
-        relabel = {old: new for new, old in enumerate(ranking)}
-        cosets = []
-        for old in ranking:
-            members = sorted(raw[old])
-            lengths = [group.length(x) for x in members]
-            longest = members[max(range(len(members)), key=lambda k: lengths[k])]
-            shortest = members[min(range(len(members)), key=lambda k: lengths[k])]
-            cosets.append(
-                CosetRecord(len(cosets), tuple(members), longest, shortest)
-            )
-        self.cosets = cosets
-        self.coset_of = [relabel[c] for c in coset_of]
-        self.n_cosets = len(cosets)
+            coset = sorted(inverse[x] for x in orbit)
+            seen.update(coset)
+            raw.append(coset)
         # coset 0 holds the identity and is the unique minimum
+        raw.sort(key=lambda coset: max((lengths[x], x) for x in coset))
+        coset_of: list[int | None] = [None] * self.group.size
+        cosets = []
+        for c, coset in enumerate(raw):
+            top = max(lengths[x] for x in coset)
+            longest = [x for x in coset if lengths[x] == top]
+            if len(longest) != 1:
+                raise AssertionError(f"coset {c} has no unique longest element")
+            shortest = min(coset, key=lambda x: (lengths[x], x))
+            cosets.append(CosetRecord(c, tuple(coset), longest[0], shortest))
+            for x in coset:
+                coset_of[x] = c
+        self.cosets = cosets
+        self.coset_of = coset_of
+        self.n_cosets = len(cosets)
+        self.w_theta_ids = frozenset(cosets[0].member_ids)
+        self._longest = [c.longest for c in cosets]
+        self._lengths = [lengths[c.longest] for c in cosets]
         self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
 
     def _ideal(self, c: int) -> int:
         ideal = self._ideals[c]
         if ideal is None:
-            for s in range(self.group.rs.rank):
+            for s in self._steps:
                 step, lower = self.times_simple(c, s)
                 if step is CosetStep.LOWER:
                     break
             else:
                 raise AssertionError(f"coset {c} admits no simple descent")
             below = self._ideal(lower)
-            right = self.group.right_table
+            right = self._steps[s]
+            coset_of, longest = self.coset_of, self._longest
             ideal = below
             for d in _bits(below):
-                ideal |= 1 << self.coset_of[right[self.cosets[d].longest][s]]
+                ideal |= 1 << coset_of[right[longest[d]]]
             self._ideals[c] = ideal
         return ideal
 
@@ -145,26 +157,24 @@ class ThetaCosets:
         return [d for d in _bits(self._ideal(c)) if d != c]
 
     def length(self, c: int) -> int:
-        return self.group.length(self.cosets[c].longest)
+        return self._lengths[c]
 
-    def times_simple(self, c: int, i: int) -> tuple[CosetStep, int]:
-        """Classify C s_i against C and return the target coset."""
-        group = self.group
-        wc = self.cosets[c].longest
-        x = group.right_table[wc][i]
+    def times_simple(self, c: int, s) -> tuple[CosetStep, int]:
+        """Classify C s against C, for a generator s, and return the target."""
+        x = self._steps[s][self._longest[c]]
         target = self.coset_of[x]
         if target == c:
             return (CosetStep.FIX, c)
-        # in the moving cases the longest element of the target is w^C s_i
-        if self.cosets[target].longest != x:
+        # in the moving cases the longest element of the target is w^C s
+        if self._longest[target] != x:
             raise AssertionError("coset step does not move the longest element")
-        if group.length(x) > group.length(wc):
+        if self._lengths[target] > self._lengths[c]:
             return (CosetStep.RAISE, target)
         return (CosetStep.LOWER, target)
 
     def times_element(self, c: int, w: int) -> int:
         """Coset of C w (well-defined from any member)."""
-        return self.coset_of[self.group.mult(self.cosets[c].longest, w)]
+        return self.coset_of[self.group.mult(self._longest[c], w)]
 
 
 def _bits(mask: int) -> list[int]:
@@ -173,7 +183,14 @@ def _bits(mask: int) -> list[int]:
 
 
 def build_theta_cosets(group: WeylGroup, theta) -> ThetaCosets:
-    return ThetaCosets(group, theta)
+    """W_Theta \\ W for a set Theta of simple indices."""
+    theta = tuple(sorted(theta))
+    rank = group.rs.rank
+    if any(not 0 <= i < rank for i in theta):
+        raise ValueError(f"theta {theta} not a subset of simple indices")
+    steps = {i: [row[i] for row in group.right_table] for i in range(rank)}
+    lengths = [w.length for w in group.elements]
+    return ThetaCosets(group, range(group.size), steps, lengths, theta)
 
 
 @dataclass(frozen=True)
@@ -313,87 +330,67 @@ def _shortest_coset_reps(group: WeylGroup, theta) -> frozenset[int]:
     return frozenset(result)
 
 
-class SubgroupBruhat:
-    """Bruhat order of the Coxeter system (W_lambda, Pi_lambda).
+class IntegralSystem:
+    """The Coxeter system (W_lambda, Pi_lambda), with its length ell_lambda
+    and the right-step table of each reflection in Pi_lambda.
 
-    This is genuinely smaller than the restriction of the Bruhat order of
-    W: e.g. in B2 with an A1 x A1 integral system, the two orthogonal
-    simple reflections are incomparable here although one is a subword of
-    the other in W.  Computed by the lifting recursion with lengths and
-    descents taken inside the subgroup.
+    Its order is not the restriction of the Bruhat order of W: e.g. in B2
+    with an A1 x A1 integral system, the two orthogonal simple reflections
+    are incomparable here although one is a subword of the other in W.
+    ``cosets(J)`` hands out one ThetaCosets per subset J of Pi_lambda, so
+    every integral model with the same Theta(u,lambda) shares it.
     """
 
-    def __init__(self, group: WeylGroup, sigma_lambda_pos, pi_lambda, members):
+    def __init__(self, group: WeylGroup, idata: "IntegralData"):
         self.group = group
-        self.pi = tuple(pi_lambda)
+        self.members = sorted(idata.w_lambda_ids)
         p = group.rs.positive_root_count
-        self._neg_bound = p
-        self._ell = {
-            w: sum(1 for r in sigma_lambda_pos if group.elements[w].images[r] >= p)
-            for w in members
+        sigma = idata.sigma_lambda_pos
+        self.lengths = {
+            w: sum(1 for r in sigma if group.elements[w].images[r] >= p)
+            for w in self.members
         }
-        self._right = {
-            p_root: {
-                w: group.mult(w, group.reflection(p_root)) for w in members
-            }
-            for p_root in self.pi
+        self.steps = {
+            r: {w: group.mult(w, group.reflection(r)) for w in self.members}
+            for r in idata.pi_lambda
         }
-        self._memo: dict[tuple[int, int], bool] = {}
+        self._cosets: dict[tuple[int, ...], ThetaCosets] = {}
 
-    def ell(self, w: int) -> int:
-        return self._ell[w]
-
-    def _first_descent(self, w: int) -> int:
-        images = self.group.elements[w].images
-        for p_root in self.pi:
-            if images[p_root] >= self._neg_bound:
-                return p_root
-        raise AssertionError("non-identity subgroup element has no descent")
+    def cosets(self, theta) -> ThetaCosets:
+        """W_{lambda,J} \\ W_lambda for J = theta inside Pi_lambda."""
+        theta = tuple(theta)
+        tc = self._cosets.get(theta)
+        if tc is None:
+            tc = self._cosets[theta] = ThetaCosets(
+                self.group, self.members, self.steps, self.lengths, theta
+            )
+        return tc
 
     def leq(self, v: int, w: int) -> bool:
-        if v == w:
-            return True
-        if self._ell[v] >= self._ell[w]:
-            return False
-        key = (v, w)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        s = self._first_descent(w)
-        ws = self._right[s][w]
-        vs = self._right[s][v]
-        if self._ell[vs] < self._ell[v]:
-            result = self.leq(vs, ws)
-        else:
-            result = self.leq(v, ws)
-        self._memo[key] = result
-        return result
+        """Bruhat order of (W_lambda, Pi_lambda) on element ids."""
+        elements = self.cosets(())
+        return elements.leq(elements.coset_of[v], elements.coset_of[w])
 
 
-def subgroup_bruhat(group: WeylGroup, idata: "IntegralData") -> SubgroupBruhat:
-    return SubgroupBruhat(
-        group, idata.sigma_lambda_pos, idata.pi_lambda, idata.w_lambda_ids
-    )
-
-
-@dataclass(frozen=True)
-class ModelCoset:
-    id: int
-    member_ids: tuple[int, ...]
-    longest: int
-    shortest: int
+def subgroup_bruhat(group: WeylGroup, idata: "IntegralData") -> IntegralSystem:
+    return IntegralSystem(group, idata)
 
 
 class IntegralModel:
     """Right W_{lambda,Theta(u,lambda)}-cosets of W_lambda for one double
-    coset, with the transport bijections ind / restrict."""
+    coset, with the transport bijections ind / restrict.
+
+    The cosets and their order are ``quotient``, the ThetaCosets of
+    (W_lambda, Pi_lambda, Theta(u,lambda)), shared by every model of the
+    same IntegralSystem with the same Theta(u,lambda).
+    """
 
     def __init__(
         self,
         tc: ThetaCosets,
         idata: IntegralData,
         u: int,
-        order: SubgroupBruhat | None = None,
+        order: IntegralSystem | None = None,
     ):
         group = tc.group
         if u not in idata.a_theta_lambda:
@@ -410,56 +407,12 @@ class IntegralModel:
             if _root_supported_on(rs, group.act_on_root(u, r), theta_set)
         )
         self.pi_lambda = idata.pi_lambda
-        self._reflections = {r: group.reflection(r) for r in idata.pi_lambda}
-        sub_ids = group.subgroup_closure(
-            [self._reflections[r] for r in self.theta_u_lambda]
-        )
-        self.w_sub_ids = sub_ids
         self.order = order if order is not None else subgroup_bruhat(group, idata)
-        self._ell_lambda = {w: self.order.ell(w) for w in idata.w_lambda_ids}
-        self._steps: dict[tuple[int, int], tuple[CosetStep, int]] = {}
-        self._build_cosets()
+        self.quotient = self.order.cosets(self.theta_u_lambda)
+        self.cosets = self.quotient.cosets
+        self.coset_of = self.quotient.coset_of
+        self.n_cosets = self.quotient.n_cosets
         self._build_transport()
-
-    def _build_cosets(self):
-        group = self.group
-        coset_of: dict[int, int] = {}
-        raw = []
-        for start in sorted(self.idata.w_lambda_ids):
-            if start in coset_of:
-                continue
-            members = {start}
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for r in self.theta_u_lambda:
-                    y = group.mult(self._reflections[r], x)
-                    if y not in members:
-                        members.add(y)
-                        queue.append(y)
-            for x in members:
-                coset_of[x] = len(raw)
-            raw.append(members)
-        ranking = sorted(
-            range(len(raw)),
-            key=lambda k: (
-                max(self._ell_lambda[x] for x in raw[k]),
-                max(raw[k], key=lambda x: (self._ell_lambda[x], x)),
-            ),
-        )
-        cosets = []
-        relabel = {}
-        for old in ranking:
-            members = sorted(raw[old])
-            longest = max(members, key=lambda x: (self._ell_lambda[x], x))
-            shortest = min(members, key=lambda x: (self._ell_lambda[x], x))
-            if sum(1 for x in members if self._ell_lambda[x] == self._ell_lambda[longest]) != 1:
-                raise AssertionError("model coset has no unique longest element")
-            relabel[old] = len(cosets)
-            cosets.append(ModelCoset(len(cosets), tuple(members), longest, shortest))
-        self.cosets = cosets
-        self.coset_of = {x: relabel[c] for x, c in coset_of.items()}
-        self.n_cosets = len(cosets)
 
     def _build_transport(self):
         group = self.group
@@ -475,46 +428,19 @@ class IntegralModel:
         self.ind = tuple(ind)
         self.restrict = {c: f for f, c in enumerate(ind)}
 
-    def ell_lambda(self, w: int) -> int:
-        return self._ell_lambda[w]
-
     def length(self, f: int) -> int:
-        return self._ell_lambda[self.cosets[f].longest]
+        return self.quotient.length(f)
 
     def leq(self, f: int, g: int) -> bool:
         """Model order: the Bruhat order of (W_lambda, Pi_lambda) on the
         longest coset elements."""
-        return self.order.leq(self.cosets[f].longest, self.cosets[g].longest)
+        return self.quotient.leq(f, g)
 
     def times_simple(self, f: int, alpha_root: int) -> tuple[CosetStep, int]:
-        """Classify F s_alpha for alpha in Pi_lambda.
-
-        Each (F, alpha) step is computed once, on first use, and kept in
-        the model's step table.
-        """
-        key = (f, alpha_root)
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = self._step(f, alpha_root)
-        return step
-
-    def _step(self, f: int, alpha_root: int) -> tuple[CosetStep, int]:
+        """Classify F s_alpha for alpha in Pi_lambda."""
         if alpha_root not in self.pi_lambda:
             raise ValueError(f"root {alpha_root} is not in Pi_lambda")
-        vf = self.cosets[f].longest
-        x = self.group.mult(vf, self._reflections[alpha_root])
-        target = self.coset_of[x]
-        if target == f:
-            return (CosetStep.FIX, f)
-        if self.cosets[target].longest != x:
-            raise AssertionError("model coset step does not move the longest element")
-        if self._ell_lambda[x] > self._ell_lambda[vf]:
-            return (CosetStep.RAISE, target)
-        return (CosetStep.LOWER, target)
-
-    def global_cosets(self) -> tuple[int, ...]:
-        """Global right W_Theta-cosets of this double coset."""
-        return self.ind
+        return self.quotient.times_simple(f, alpha_root)
 
     def __repr__(self):
         return f"IntegralModel(u={self.u}, cosets={self.n_cosets})"
@@ -529,7 +455,7 @@ def build_integral_model(
     tc: ThetaCosets,
     idata: IntegralData,
     u: int,
-    order: SubgroupBruhat | None = None,
+    order: IntegralSystem | None = None,
 ) -> IntegralModel:
     return IntegralModel(tc, idata, u, order)
 

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from whitkl import LaurentPoly, Weight
+import whitkl.charformula
+import whitkl.cli
+from whitkl import LaurentPoly, Weight, build_kl_table
 from whitkl.cli import (
     InputError,
     Job,
@@ -417,3 +420,23 @@ def test_render_json_rejects_what_json_dumps_rejects():
             _reference_json(bad)
         with pytest.raises(TypeError):
             render_json(bad)
+
+
+def test_characters_verma_builds_one_table(capsys, monkeypatch):
+    argv = ["--type", "A2", "--theta", "", "--lambda", "-1,-1", "--format",
+            "json", "characters", "--verma"]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_kl_table(*args, **kwargs)
+
+    monkeypatch.setattr(whitkl.cli, "build_kl_table", counted)
+    monkeypatch.setattr(whitkl.charformula, "build_kl_table", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == 1
+    # the output of the two-table build this replaced
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "540854d8966b4439f3273d84f5cc9f06f2bdd11416c73287839fb260b2791799"
+    )

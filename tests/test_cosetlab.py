@@ -7,13 +7,16 @@ from whitkl import (
     CosetStep,
     Weight,
     build_integral_model,
+    build_kl_table,
     build_theta_cosets,
     conjugate_model,
     descent_chain,
     integral_data,
     stabilizer_data,
 )
-from whitkl.cosetlab import _double_coset_rep
+from whitkl.cli import parse_lambda
+from whitkl.cosetlab import _double_coset_rep, subgroup_bruhat
+from whitkl.oracle import model_order_reflection_chains
 from whitkl.rootsystem import is_integer, pair
 from whitkl.weylgroup import WeylGroup
 
@@ -444,3 +447,66 @@ def test_integral_data_check_fires(a3, wrong_closure):
 def test_stabilizer_check_fires(a3, wrong_closure):
     with pytest.raises(AssertionError, match="zero roots"):
         stabilizer_data(a3, (), Weight.from_values([0, -1, 0]))
+
+
+def test_integral_order_is_not_the_restricted_bruhat_order():
+    # B2 with lambda = (-1/2, -1): Pi_lambda is two orthogonal roots, so
+    # (W_lambda, Pi_lambda) is A1 x A1 and its two reflections are
+    # incomparable, although in W one is a subword of the other
+    g = get_group("B", 2)
+    lam = Weight.from_values([Fraction(-1, 2), -1])
+    idata = integral_data(g, (), lam)
+    assert len(idata.pi_lambda) == 2
+    a, b = idata.pi_lambda
+    assert g.rs.root_pairing(a, b) == 0
+    s_a, s_b = g.reflection(a), g.reflection(b)
+    order = subgroup_bruhat(g, idata)
+    assert (order.leq(s_a, s_b), order.leq(s_b, s_a)) == (False, False)
+    assert (g.bruhat_leq(s_a, s_b), g.bruhat_leq(s_b, s_a)) == (True, False)
+    model = build_integral_model(build_theta_cosets(g, ()), idata, 0, order)
+    f, h = model.coset_of[s_a], model.coset_of[s_b]
+    assert not model.leq(f, h) and not model.leq(h, f)
+    assert model.leq(model.coset_of[0], f) and model.leq(model.coset_of[0], h)
+
+
+RANK_4_NONINTEGRAL = [
+    # (type, rank, theta, lambda, |W_lambda|, models, distinct Theta(u,lambda))
+    ("B", 4, (), [Fraction(-1, 2), -1, Fraction(-1, 2), -1], 64, 6, 1),
+    ("F", 4, (), [Fraction(-1, 2), -1, -1, Fraction(-1, 2)], 96, 12, 1),
+    ("D", 4, (1,), [Fraction(-1, 2), -1, Fraction(-1, 2), Fraction(-1, 2)], 16, 8, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "letter, rank, theta, values, w_lambda_size, n_models, n_classes",
+    RANK_4_NONINTEGRAL,
+)
+def test_model_order_matches_reflection_chains_rank_4(
+    letter, rank, theta, values, w_lambda_size, n_models, n_classes
+):
+    g = get_group(letter, rank)
+    idata = integral_data(g, theta, Weight.from_values(values))
+    tc = build_theta_cosets(g, theta)
+    order = subgroup_bruhat(g, idata)
+    models = [build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda]
+    assert len(idata.w_lambda_ids) == w_lambda_size
+    assert len(models) == n_models
+    assert len({m.theta_u_lambda for m in models}) == n_classes
+    chain_pairs = model_order_reflection_chains(g, idata)
+    for model in models:
+        for f in model.cosets:
+            for h in model.cosets:
+                expected = (f.longest, h.longest) in chain_pairs
+                assert model.leq(f.id, h.id) == expected, (model.u, f.id, h.id)
+
+
+def test_models_with_equal_theta_u_lambda_share_one_quotient():
+    # the D5 weight of the singular non-integral benchmark workload
+    g = get_group("D", 5)
+    table = build_kl_table(g, (), parse_lambda("0,-1+1*t1,-1/2,-1-1*t1,-1", 5))
+    assert len(table.models) == 160
+    quotients = {id(model.quotient) for model in table.models}
+    assert len(quotients) == 1
+    quotient = table.models[0].quotient
+    assert quotient.n_cosets == 12
+    assert set(quotient.w_theta_ids) == {0}

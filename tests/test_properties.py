@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from whitkl import Weight  # noqa: E402
+from whitkl import Weight, build_kl_table, phi_direct  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 
@@ -43,3 +43,12 @@ def test_weight_orbit_agrees_with_act_on_weight(case):
         assert rows[w] == tuple(
             den * x for rational, tvec in mu.coords for x in (rational, *tvec)
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(type_and_weight(), st.data())
+def test_path_b_agrees_with_path_a(case, data):
+    letter, rank, lam = case
+    theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
+    table = build_kl_table(get_group(letter, rank), theta, lam)
+    assert phi_direct(table.tc, lam) == table.phi
