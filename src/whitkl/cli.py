@@ -236,17 +236,15 @@ class Job:
         }
 
 
+def _elt_entry(group, w) -> dict:
+    return {"word": list(group.elements[w].word), "name": elt_name(group, w)}
+
+
 def _coset_entry(group, tc, record):
     return {
         "id": record.id,
-        "longest": {
-            "word": list(group.elements[record.longest].word),
-            "name": elt_name(group, record.longest),
-        },
-        "shortest": {
-            "word": list(group.elements[record.shortest].word),
-            "name": elt_name(group, record.shortest),
-        },
+        "longest": _elt_entry(group, record.longest),
+        "shortest": _elt_entry(group, record.shortest),
         "length": group.length(record.longest),
         "below": tc.below(record.id),
     }
@@ -255,18 +253,12 @@ def _coset_entry(group, tc, record):
 def _model_entry(job, model):
     group = job.group
     return {
-        "u": {
-            "word": list(group.elements[model.u].word),
-            "name": elt_name(group, model.u),
-        },
+        "u": _elt_entry(group, model.u),
         "theta_u_lambda": [root_name(job.rs, r) for r in model.theta_u_lambda],
         "cosets": [
             {
                 "id": f.id,
-                "longest": {
-                    "word": list(group.elements[f.longest].word),
-                    "name": elt_name(group, f.longest),
-                },
+                "longest": _elt_entry(group, f.longest),
                 "length_lambda": model.length(f.id),
                 "global": model.ind[f.id],
             }
@@ -595,6 +587,21 @@ def _text_cosets(lines, data):
             )
 
 
+def _signed_sum(entries, term) -> str:
+    """The character row "a - 2 b + ..." of (standard, coeff) entries, with
+    term(standard) the text of each character."""
+    rhs = ""
+    for e in entries:
+        coeff = e["coeff"]
+        mag = abs(coeff)
+        body = term(e["standard"]) if mag == 1 else f"{mag} {term(e['standard'])}"
+        if not rhs:
+            rhs = f"-{body}" if coeff < 0 else body
+        else:
+            rhs += f" {'-' if coeff < 0 else '+'} {body}"
+    return rhs
+
+
 def render_text(command, data) -> str:
     lines = []
     ctx = data["context"]
@@ -621,19 +628,7 @@ def render_text(command, data) -> str:
             lines.append(f"  ({entry['c']}, {entry['d']}): {entry['poly']}")
     elif command == "characters":
         for row in data["characters"]:
-            terms = []
-            for e in row["entries"]:
-                coeff = e["coeff"]
-                sign = "-" if coeff < 0 else "+"
-                mag = abs(coeff)
-                body = f"ch M({e['standard']})" if mag == 1 else f"{mag} ch M({e['standard']})"
-                terms.append((sign, body))
-            rhs = ""
-            for i, (sign, body) in enumerate(terms):
-                if i == 0:
-                    rhs = body if sign == "+" else f"-{body}"
-                else:
-                    rhs += f" {sign} {body}"
+            rhs = _signed_sum(row["entries"], lambda std: f"ch M({std})")
             lines.append(f"ch L({row['irreducible']}) = {rhs or '0'}")
         for row in data.get("multiplicities", []):
             terms = " + ".join(
@@ -658,13 +653,11 @@ def render_latex(command, data) -> str:
     ctx = data["context"]
     lines.append("% " + ctx["type"] + " theta=" + (",".join(ctx["theta"]) or "empty"))
     if command == "klpolys":
+        polys = {(e["c"], e["d"]): e["poly"] for e in data["kl_polynomials"]}
         for m in data["models"]:
             cols = [f["longest"]["name"] for f in m["cosets"]]
             ids = [f["id"] for f in m["cosets"]]
             globals_ = {f["id"]: f["global"] for f in m["cosets"]}
-            polys = {
-                (e["c"], e["d"]): e["poly"] for e in data["kl_polynomials"]
-            }
             lines.append("\\begin{tabular}{c|" + "c" * len(cols) + "}")
             lines.append(
                 "$P$ & "
@@ -685,21 +678,9 @@ def render_latex(command, data) -> str:
     elif command == "characters":
         lines.append("\\begin{align*}")
         for row in data["characters"]:
-            terms = []
-            for e in row["entries"]:
-                coeff = e["coeff"]
-                mag = abs(coeff)
-                body = f"\\ch M({_latex_elt(e['standard'])}\\lambda)"
-                if mag != 1:
-                    body = f"{mag} {body}"
-                terms.append((("-" if coeff < 0 else "+"), body))
-            rhs = ""
-            for i, (sign, body) in enumerate(terms):
-                rhs += (
-                    (body if sign == "+" else f"-{body}")
-                    if i == 0
-                    else f" {sign} {body}"
-                )
+            rhs = _signed_sum(
+                row["entries"], lambda std: f"\\ch M({_latex_elt(std)}\\lambda)"
+            )
             lines.append(
                 f"\\ch L({_latex_elt(row['irreducible'])}\\lambda) &= {rhs} \\\\"
             )

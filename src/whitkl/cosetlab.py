@@ -11,6 +11,7 @@ derived tables are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -224,10 +225,10 @@ def _simple_roots_of(rs: RootSystem, positive_indices) -> tuple[int, ...]:
     return tuple(simple)
 
 
-def _cartan_inverse(rs: RootSystem):
-    """Exact inverse of the Cartan matrix, via Gauss-Jordan elimination."""
-    n = rs.rank
-    a = [[Fraction(rs.cartan_matrix[i][j]) for j in range(n)] for i in range(n)]
+def _cartan_inverse(cartan):
+    """Exact inverse of a Cartan matrix, via Gauss-Jordan elimination."""
+    n = len(cartan)
+    a = [[Fraction(cartan[i][j]) for j in range(n)] for i in range(n)]
     inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
@@ -244,6 +245,15 @@ def _cartan_inverse(rs: RootSystem):
     return inv
 
 
+@functools.cache
+def _integer_cartan_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(e, e * cartan^-1) for the least e making it an integer matrix; one
+    elimination per Cartan matrix."""
+    inv = _cartan_inverse(cartan)
+    e = math.lcm(*(x.denominator for row in inv for x in row))
+    return e, tuple(tuple(int(x * e) for x in row) for row in inv)
+
+
 def _root_lattice_stabilizer(group: WeylGroup, lam: Weight) -> frozenset[int]:
     """{w : w lam - lam in Z.Sigma}, read off the integer orbit of lam.
 
@@ -254,9 +264,7 @@ def _root_lattice_stabilizer(group: WeylGroup, lam: Weight) -> frozenset[int]:
     integral: iff e * cartan^-1 * d is divisible by e * den, for the least
     e making e * cartan^-1 an integer matrix.
     """
-    inv = _cartan_inverse(group.rs)
-    e = math.lcm(*(x.denominator for row in inv for x in row))
-    e_inv = [[int(x * e) for x in row] for row in inv]
+    e, e_inv = _integer_cartan_inverse(group.rs.cartan_matrix)
     den, rows = group.weight_orbit(lam)
     modulus = e * den
     stride = 1 + lam.n_transcendentals

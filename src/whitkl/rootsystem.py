@@ -117,7 +117,10 @@ class RootSystem:
         self.type_letter = type_letter
         self.rank = rank
         self.cartan_matrix = tuple(tuple(row) for row in cartan_matrix)
-        positives = _close_positive_roots(self.cartan_matrix)
+        coroot_of = _close_roots(self.cartan_matrix)
+        positives = [r for r in coroot_of if all(c >= 0 for c in r)]
+        if 2 * len(positives) != len(coroot_of):
+            raise AssertionError("roots do not split into +/- halves")
         simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
         others = sorted(
             (r for r in positives if r not in set(simple)),
@@ -127,7 +130,7 @@ class RootSystem:
         self.positive_root_count = len(pos_roots)
         self.roots = tuple(pos_roots + [tuple(-c for c in r) for r in pos_roots])
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.coroot_coords = tuple(_coroots_for(self.cartan_matrix, self.roots))
+        self.coroot_coords = tuple(coroot_of[r] for r in self.roots)
 
     @property
     def n_roots(self) -> int:
@@ -229,58 +232,28 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank, cartan)
 
 
-def _close_positive_roots(cartan):
-    """All roots via closure of the simple roots under simple reflections."""
+def _close_roots(cartan) -> dict:
+    """Every root with its coroot, as {root: coroot} in the simple-root and
+    simple-coroot bases, by closing the simple roots under the simple
+    reflections: s_i sends a root r to r - alpha_i^vee(r) alpha_i and its
+    coroot d to d - alpha_i(d) alpha_i^vee."""
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simple)
+    coroot_of = {r: r for r in simple}
     queue = list(simple)
     while queue:
         r = queue.pop()
+        d = coroot_of[r]
         for i in range(n):
-            p = sum(cartan[i][m] * r[m] for m in range(n))
             image = list(r)
-            image[i] -= p
+            image[i] -= sum(cartan[i][m] * r[m] for m in range(n))
             t = tuple(image)
-            if t not in seen:
-                seen.add(t)
+            if t not in coroot_of:
+                dimage = list(d)
+                dimage[i] -= sum(d[k] * cartan[k][i] for k in range(n))
+                coroot_of[t] = tuple(dimage)
                 queue.append(t)
-    positives = [r for r in seen if all(c >= 0 for c in r)]
-    if 2 * len(positives) != len(seen):
-        raise AssertionError("roots do not split into +/- halves")
-    return positives
-
-
-def _coroots_for(cartan, roots):
-    """Coroot coordinates (simple-coroot basis) for every root, via the
-    same reflection closure used for the roots themselves."""
-    n = len(cartan)
-    by_root = {}
-    start = [
-        (
-            tuple(1 if j == i else 0 for j in range(n)),
-            tuple(1 if j == i else 0 for j in range(n)),
-        )
-        for i in range(n)
-    ]
-    queue = list(start)
-    for r, d in start:
-        by_root[r] = d
-    while queue:
-        r, d = queue.pop()
-        for i in range(n):
-            p = sum(cartan[i][m] * r[m] for m in range(n))
-            image = list(r)
-            image[i] -= p
-            # s_i on coroots: d'_i = d_i - sum_k d_k * cartan[k][i]
-            pd = sum(d[k] * cartan[k][i] for k in range(n))
-            dimage = list(d)
-            dimage[i] -= pd
-            t, td = tuple(image), tuple(dimage)
-            if t not in by_root:
-                by_root[t] = td
-                queue.append((t, td))
-    return [by_root[r] for r in roots]
+    return coroot_of
 
 
 def pair(rs: RootSystem, root_index: int, lam: Weight) -> Value:

@@ -1,8 +1,11 @@
 """Weyl group enumeration, actions, length, descents, and Bruhat order.
 
-Elements are stored as permutations of the root list; ids are assigned in
-breadth-first order from the identity with ascending simple indices, so
-they are stable across runs and usable in golden files.
+An element w is keyed by the integer vector w^-1 rho in simple-coroot
+values, which is injective because rho is regular.  One breadth-first pass
+over the keys, from the identity with ascending simple indices, assigns
+the ids and fills the right-multiplication table and each element's
+permutation of the root list; ids are stable across runs and usable in
+golden files.  Products and inverses walk words through that table.
 """
 
 from __future__ import annotations
@@ -25,10 +28,33 @@ class WeylElt:
     length: int
 
 
+def _simple_steps(cartan, stride: int):
+    """step(row, i) is s_i on a flat integer row holding ``stride`` values
+    per simple coroot j: alpha_j^vee(s_i mu) = mu_j - cartan[j][i] * mu_i.
+    """
+    rank = len(cartan)
+    # for s_i: the (start of coroot j's values, cartan[j][i]) it changes
+    moves = [
+        [(j * stride, cartan[j][i]) for j in range(rank) if cartan[j][i]]
+        for i in range(rank)
+    ]
+
+    def step(row: tuple[int, ...], i: int) -> tuple[int, ...]:
+        mu_i = row[i * stride : (i + 1) * stride]
+        out = list(row)
+        for start, c in moves[i]:
+            for t, m in enumerate(mu_i, start):
+                out[t] -= c * m
+        return tuple(out)
+
+    return step
+
+
 class WeylGroup:
     """Enumerated Weyl group with multiplication and Bruhat order.
 
-    The enumeration tables are immutable after construction.  Two caches
+    The tables of the enumeration (elements, right_table, inverse and the
+    key of each element) are immutable after construction.  Two caches
     fill lazily: the reflection table, which holds the element id of the
     reflection in each root from its first use on, and the Bruhat memo.
     Both only ever gain immutable entries (single list or dict
@@ -46,63 +72,56 @@ class WeylGroup:
     def _enumerate(self):
         rs = self.rs
         n = rs.rank
-        n_roots = rs.n_roots
+        step = _simple_steps(rs.cartan_matrix, 1)
         simple_images = [
-            tuple(rs.reflect(i, r) for r in range(n_roots)) for i in range(n)
+            tuple(rs.reflect(i, r) for r in range(rs.n_roots)) for i in range(n)
         ]
-        identity = tuple(range(n_roots))
-        elements = [WeylElt(0, identity, (), 0)]
-        by_images = {identity: 0}
-        frontier = [0]
-        while frontier:
-            new_frontier = []
-            for wid in frontier:
-                w = elements[wid]
-                for i in range(n):
+        rho = (1,) * n
+        keys = [rho]  # keys[w] = w^-1 rho
+        by_key = {rho: 0}
+        elements = [WeylElt(0, tuple(range(rs.n_roots)), (), 0)]
+        right_table = []
+        # ids in BFS order: keys grows while it is walked
+        for wid, key in enumerate(keys):
+            w = elements[wid]
+            row = []
+            for i in range(n):
+                child = step(key, i)
+                cid = by_key.get(child)
+                if cid is None:
+                    cid = len(keys)
+                    if cid >= GROUP_SIZE_CAP:
+                        raise ValueError(f"group size exceeds cap {GROUP_SIZE_CAP}")
+                    by_key[child] = cid
+                    keys.append(child)
                     # (w s_i)(r) = w(s_i(r))
                     images = tuple(w.images[x] for x in simple_images[i])
-                    if images not in by_images:
-                        new_id = len(elements)
-                        if new_id >= GROUP_SIZE_CAP:
-                            raise ValueError(
-                                f"group size exceeds cap {GROUP_SIZE_CAP}"
-                            )
-                        by_images[images] = new_id
-                        elements.append(
-                            WeylElt(new_id, images, w.word + (i,), w.length + 1)
-                        )
-                        new_frontier.append(new_id)
-            frontier = new_frontier
+                    elements.append(WeylElt(cid, images, w.word + (i,), w.length + 1))
+                row.append(cid)
+            right_table.append(row)
         self.elements = elements
-        self._by_images = by_images
         self.size = len(elements)
-        self.simple_ids = [
-            by_images[simple_images[i]] for i in range(n)
-        ]
-        self.right_table = [
-            [by_images[tuple(w.images[x] for x in simple_images[i])] for i in range(n)]
-            for w in elements
-        ]
-        self.left_table = [
-            [by_images[tuple(simple_images[i][x] for x in w.images)] for i in range(n)]
-            for w in elements
-        ]
-        inverse = [0] * self.size
+        self.right_table = right_table
+        self._by_key = by_key
+        self.simple_ids = list(right_table[0])
+        inverse = []
         for w in elements:
-            inv = [0] * len(w.images)
-            for r, img in enumerate(w.images):
-                inv[img] = r
-            inverse[w.id] = by_images[tuple(inv)]
+            x = 0
+            for i in reversed(w.word):
+                x = right_table[x][i]
+            inverse.append(x)
         self.inverse = inverse
         self.longest_id = max(elements, key=lambda w: w.length).id
 
     # -- basic operations ------------------------------------------------
 
     def mult(self, a: int, b: int) -> int:
-        """Product ab (a after b on roots: (ab)(r) = a(b(r)))."""
-        wa = self.elements[a].images
-        wb = self.elements[b].images
-        return self._by_images[tuple(wa[x] for x in wb)]
+        """Product ab (a after b on roots: (ab)(r) = a(b(r))): b's word
+        walked through the right-multiplication table from a."""
+        right = self.right_table
+        for i in self.elements[b].word:
+            a = right[a][i]
+        return a
 
     def length(self, w: int) -> int:
         return self.elements[w].length
@@ -124,10 +143,9 @@ class WeylGroup:
         tuple holding den * alpha_i^vee(w lam) for each simple coroot i in
         turn: its rational part, then its coefficient on each
         transcendental, so rows[w][i * (1 + k) + j] with k transcendentals.
-        Ids are in BFS order, so for w = s_i w' with i = word[0] the row of
-        w' = left_table[w][i] is filled first, and
-        alpha_j^vee(s_i mu) = mu_j - cartan[j][i] * mu_i
-        gives w's row from it with integer work only.  Nothing is cached.
+        With i = word[0], w = s_i w' for w' = s_i w, which is shorter and so
+        has a smaller id; its row gives w's by the same integer step as
+        the enumeration.  Nothing is cached.
         """
         if lam.rank != self.rs.rank:
             raise ValueError(
@@ -136,38 +154,28 @@ class WeylGroup:
         stride = 1 + lam.n_transcendentals
         values = [x for rational, tvec in lam.coords for x in (rational, *tvec)]
         den = math.lcm(*(x.denominator for x in values))
-        cartan = self.rs.cartan_matrix
-        # for s_i: the (start of coroot j's values, cartan[j][i]) it changes
-        moves = [
-            [(j * stride, cartan[j][i]) for j in range(self.rs.rank) if cartan[j][i]]
-            for i in range(self.rs.rank)
-        ]
+        step = _simple_steps(self.rs.cartan_matrix, stride)
         rows = [tuple(x.numerator * (den // x.denominator) for x in values)]
-        left = self.left_table
+        inverse, right = self.inverse, self.right_table
         for w in range(1, self.size):
             i = self.elements[w].word[0]
-            parent = rows[left[w][i]]
-            mu_i = parent[i * stride : (i + 1) * stride]
-            row = list(parent)
-            for start, c in moves[i]:
-                for t, m in enumerate(mu_i, start):
-                    row[t] -= c * m
-            rows.append(tuple(row))
+            rows.append(step(rows[inverse[right[inverse[w]][i]]], i))
         return den, rows
 
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""
         cached = self._reflections[root_index]
         if cached is None:
+            # s_beta is its own inverse and s_beta rho = rho - <beta^vee, rho> beta,
+            # so alpha_j^vee(s_beta rho) = 1 - ht(beta^vee) * alpha_j^vee(beta)
             rs = self.rs
-            alpha = rs.roots[root_index]
-            images = []
-            for r, beta in enumerate(rs.roots):
-                c = rs.root_pairing(root_index, r)
-                images.append(
-                    rs.root_index[tuple(b - c * a for b, a in zip(beta, alpha))]
-                )
-            cached = self._reflections[root_index] = self._by_images[tuple(images)]
+            beta = rs.roots[root_index]
+            height = sum(rs.coroot_coords[root_index])
+            key = tuple(
+                1 - height * sum(a * b for a, b in zip(row, beta))
+                for row in rs.cartan_matrix
+            )
+            cached = self._reflections[root_index] = self._by_key[key]
         return cached
 
     # -- descents and inversions -----------------------------------------

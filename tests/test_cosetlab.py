@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,11 @@ from whitkl import (
     integral_data,
     stabilizer_data,
 )
+from whitkl import cosetlab
 from whitkl.cli import parse_lambda
 from whitkl.cosetlab import _double_coset_rep, subgroup_bruhat
 from whitkl.oracle import model_order_reflection_chains
-from whitkl.rootsystem import is_integer, pair
+from whitkl.rootsystem import build_root_system, is_integer, pair
 from whitkl.weylgroup import WeylGroup
 
 from conftest import get_group, lambda_golden_a3
@@ -405,6 +407,45 @@ def test_integral_weyl_group_matches_fraction_lattice_reference(letter, rank, la
     g = get_group(letter, rank)
     idata = integral_data(g, (), lam)
     assert idata.w_lambda_ids == _lattice_reference(g, lam)
+
+
+def _valid_types():
+    for letter in "ABCDEFG":
+        for rank in range(1, 7):
+            try:
+                yield build_root_system(letter, rank)
+            except ValueError:
+                pass
+
+
+def test_cartan_inverse_is_exact_for_every_type():
+    systems = list(_valid_types())
+    assert len(systems) == 23
+    for rs in systems:
+        cartan, n = rs.cartan_matrix, rs.rank
+        inv = cosetlab._cartan_inverse(cartan)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        product = [
+            [sum(cartan[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)], rs
+        e, e_inv = cosetlab._integer_cartan_inverse(cartan)
+        assert [[Fraction(x, e) for x in row] for row in e_inv] == inv
+        assert math.gcd(e, *(x for row in e_inv for x in row)) == 1
+
+
+def test_cartan_inverse_eliminated_once_per_root_system(monkeypatch):
+    runs = []
+    eliminate = cosetlab._cartan_inverse
+    monkeypatch.setattr(
+        cosetlab, "_cartan_inverse", lambda c: runs.append(c) or eliminate(c)
+    )
+    cosetlab._integer_cartan_inverse.cache_clear()
+    b3 = get_group("B", 3)
+    integral_data(b3, (), Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2)]))
+    integral_data(b3, (0,), Weight.minus_rho(3))
+    assert runs == [b3.rs.cartan_matrix]
 
 
 STABILIZER_CASES = [

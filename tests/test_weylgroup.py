@@ -1,11 +1,14 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from whitkl import Weight, pair
+from whitkl import Weight, build_root_system, enumerate_group, pair
 from whitkl.oracle import bruhat_subword
+from whitkl.weylgroup import GROUP_SIZE_CAP
 
 from conftest import get_group
 
@@ -250,3 +253,108 @@ def test_weight_orbit_golden_a3_layout(a3_group, lam_g):
 def test_weight_orbit_rank_mismatch(a3_group):
     with pytest.raises(ValueError):
         a3_group.weight_orbit(Weight.minus_rho(2))
+
+
+def _image_tables(rs):
+    """The group built from root-image tuples: each element is its
+    permutation of the root list, found by a BFS over products with the
+    simple reflections, and the tables are read off the permutations (mult
+    is their composition, see test_mult_composes_root_images).  An
+    independent reference for the integer-keyed tables."""
+    n, n_roots = rs.rank, rs.n_roots
+    simple = [tuple(rs.reflect(i, r) for r in range(n_roots)) for i in range(n)]
+    identity = tuple(range(n_roots))
+    images, words = [identity], [()]
+    by_images = {identity: 0}
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for i in range(n):
+                img = tuple(images[w][x] for x in simple[i])
+                if img not in by_images:
+                    by_images[img] = len(images)
+                    new_frontier.append(len(images))
+                    images.append(img)
+                    words.append(words[w] + (i,))
+        frontier = new_frontier
+
+    def invert(img):
+        inv = [0] * n_roots
+        for r, x in enumerate(img):
+            inv[x] = r
+        return by_images[tuple(inv)]
+
+    def reflection(r):
+        alpha = rs.roots[r]
+        return by_images[
+            tuple(
+                rs.root_index[
+                    tuple(b - rs.root_pairing(r, q) * a for b, a in zip(beta, alpha))
+                ]
+                for q, beta in enumerate(rs.roots)
+            )
+        ]
+
+    return {
+        "images": images,
+        "words": words,
+        "right_table": [
+            [by_images[tuple(img[x] for x in simple[i])] for i in range(n)]
+            for img in images
+        ],
+        "inverse": [invert(img) for img in images],
+        "simple_ids": [by_images[simple[i]] for i in range(n)],
+        "longest_id": max(range(len(words)), key=lambda w: len(words[w])),
+        "reflections": [reflection(r) for r in range(n_roots)],
+    }
+
+
+REFERENCE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5),
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("letter, rank", REFERENCE_TYPES)
+def test_tables_match_root_image_reference(letter, rank):
+    g = get_group(letter, rank)
+    ref = _image_tables(g.rs)
+    assert [w.id for w in g.elements] == list(range(g.size))
+    assert [w.images for w in g.elements] == ref["images"]
+    assert [w.word for w in g.elements] == ref["words"]
+    assert [w.length for w in g.elements] == [len(w) for w in ref["words"]]
+    assert g.right_table == ref["right_table"]
+    assert g.inverse == ref["inverse"]
+    assert g.simple_ids == ref["simple_ids"]
+    assert g.longest_id == ref["longest_id"]
+    assert [g.reflection(r) for r in range(g.rs.n_roots)] == ref["reflections"]
+
+
+@pytest.mark.parametrize(
+    "letter, rank, n_pairs",
+    [("A", 3, None), ("B", 3, None), ("G", 2, None), ("F", 4, 2000), ("D", 5, 2000)],
+)
+def test_mult_composes_root_images(letter, rank, n_pairs):
+    g = get_group(letter, rank)
+    if n_pairs is None:
+        pairs = itertools.product(range(g.size), repeat=2)
+    else:
+        rng = random.Random(17)
+        pairs = [(rng.randrange(g.size), rng.randrange(g.size)) for _ in range(n_pairs)]
+    for a, b in pairs:
+        ia, ib = g.elements[a].images, g.elements[b].images
+        assert g.elements[g.mult(a, b)].images == tuple(ia[x] for x in ib), (a, b)
+
+
+def test_e6_words_and_reflections_pinned():
+    # sha256 of the BFS words and the reflection ids, taken from the
+    # root-image enumeration; E6 fills the group-size cap exactly
+    g = enumerate_group(build_root_system("E", 6))
+    assert g.size == GROUP_SIZE_CAP == 51840
+    text = "\n".join(",".join(map(str, w.word)) for w in g.elements)
+    text += "\n" + ",".join(str(g.reflection(r)) for r in range(g.rs.n_roots))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ec99a3b8f56405ff502176afb2e9ae5bf6ad9b48c123416342e489b34c218bc1"
+    )
