@@ -4,6 +4,12 @@ Subcommands: info, cosets, klpolys, characters, verify.  Output formats:
 text (default), json, latex.  All output is byte-stable for identical
 inputs: orderings are fixed everywhere and no randomness is involved.
 
+Output is streamed: the document is written to stdout in bounded chunks
+as it is rendered, never held whole.  Every error is found before the
+first byte is written, so a failing command prints nothing on stdout.  A
+reader that closes the pipe early (``whitkl ... | head``) ends the
+command quietly with its usual exit code.
+
 Exit codes: 0 ok, 1 input error, 2 verification failure, 3 internal error
 (a broken invariant, reported as one line on stderr).
 """
@@ -12,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -422,6 +429,37 @@ def run_verify(job):
 
 # ---------------------------------------------------------------------------
 # output formatting
+#
+# Each renderer hands its document to a sink, a callable such as
+# ``sys.stdout.write``, in chunks, so that no format ever holds the whole
+# text of a large document.  The JSON writer flushes once its piece list
+# holds _CHUNK_PIECES pieces; the text and LaTeX writers once their lines
+# hold _CHUNK_CHARS characters.
+
+_CHUNK_PIECES = 4096
+_CHUNK_CHARS = 1 << 16
+
+
+class _Lines:
+    """Lines of a text document, each handed to ``sink`` with its newline,
+    in batches of about _CHUNK_CHARS characters."""
+
+    def __init__(self, sink):
+        self.sink = sink
+        self.batch: list[str] = []
+        self.size = 0
+
+    def append(self, line: str) -> None:
+        self.batch.append(line)
+        self.size += len(line)
+        if self.size >= _CHUNK_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.batch:
+            self.sink("\n".join(self.batch) + "\n")
+            self.batch.clear()
+            self.size = 0
 
 
 _INFINITY = float("inf")
@@ -475,9 +513,20 @@ def _json_key(key) -> str:
     return encode_basestring(key) + ": "
 
 
-def render_json(data) -> str:
+def _joined(render, *args) -> str:
+    """The whole text that ``render(*args, sink)`` hands to its sink."""
+    chunks: list[str] = []
+    render(*args, chunks.append)
+    return "".join(chunks)
+
+
+def render_json(data, sink=None):
     """The text of ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
     newline, written directly.
+
+    With a ``sink``, the text goes to it in chunks of about
+    ``_CHUNK_PIECES`` pieces and None is returned; without one, the text
+    is returned.
 
     With ``indent`` set, ``json.dumps`` does not use its C encoder, and the
     pure-Python one spends most of a large document's time in generators.
@@ -485,8 +534,11 @@ def render_json(data) -> str:
     and writes a list or object whose values are all scalars with a single
     join.
     """
+    if sink is None:
+        return _joined(render_json, data)
     out: list[str] = []
     append = out.append
+    limit = _CHUNK_PIECES
     scalars = _JSON_SCALARS
     # encoded str keys; a key of another type is never equal to a str, and
     # 1, 1.0 and True, equal as dict keys, encode differently
@@ -497,6 +549,10 @@ def render_json(data) -> str:
         if type(k) is str:
             key_text[k] = text
         return text
+
+    def flush() -> None:
+        sink("".join(out))
+        out.clear()
 
     def write(value, nl: str) -> None:
         enc = scalars.get(type(value))
@@ -521,6 +577,8 @@ def render_json(data) -> str:
             for v in value:
                 append(lead)
                 write(v, inner)
+                if len(out) >= limit:
+                    flush()
                 lead = sep
             append(nl + "]")
         elif isinstance(value, dict):
@@ -542,6 +600,8 @@ def render_json(data) -> str:
             for k, v in value.items():
                 append(lead + (key_text.get(k) or key(k)))
                 write(v, inner)
+                if len(out) >= limit:
+                    flush()
                 lead = sep
             append(nl + "}")
         else:
@@ -557,7 +617,7 @@ def render_json(data) -> str:
 
     write(data, "\n")
     append("\n")
-    return "".join(out)
+    flush()
 
 
 def parse_output(text: str) -> dict:
@@ -602,8 +662,11 @@ def _signed_sum(entries, term) -> str:
     return rhs
 
 
-def render_text(command, data) -> str:
-    lines = []
+def render_text(command, data, sink=None):
+    """The text document; to ``sink`` in chunks if given, else returned."""
+    if sink is None:
+        return _joined(render_text, command, data)
+    lines = _Lines(sink)
     ctx = data["context"]
     theta = ",".join(ctx["theta"]) or "(empty)"
     lines.append(f"{ctx['type']}  theta={theta}  lambda={ctx['lambda']}")
@@ -637,7 +700,7 @@ def render_text(command, data) -> str:
                 for e in row["entries"]
             )
             lines.append(f"[M({row['standard']})] = {terms}")
-    return "\n".join(lines) + "\n"
+    lines.flush()
 
 
 def _latex_elt(name: str) -> str:
@@ -648,8 +711,11 @@ def _latex_elt(name: str) -> str:
     return " ".join(name.split())
 
 
-def render_latex(command, data) -> str:
-    lines = []
+def render_latex(command, data, sink=None):
+    """The LaTeX document; to ``sink`` in chunks if given, else returned."""
+    if sink is None:
+        return _joined(render_latex, command, data)
+    lines = _Lines(sink)
     ctx = data["context"]
     lines.append("% " + ctx["type"] + " theta=" + (",".join(ctx["theta"]) or "empty"))
     if command == "klpolys":
@@ -687,7 +753,7 @@ def render_latex(command, data) -> str:
         lines.append("\\end{align*}")
     else:
         lines.append("% use --format text or json for this command")
-    return "\n".join(lines) + "\n"
+    lines.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +842,10 @@ def main(argv=None) -> int:
         if args.command != "verify" and lam is None:
             raise InputError(f"command {args.command!r} needs --lambda")
         job = Job(letter, rank, theta_probe, lam)
+        # every error is raised before the first byte is written
         if args.command == "verify":
             report = run_verify(job)
+            code = 0 if report.passed else 2
             if args.format == "json":
                 sys.stdout.write(report.to_json() + "\n")
             else:
@@ -787,22 +855,32 @@ def main(argv=None) -> int:
                     sys.stdout.write(
                         f"{status}  {check.name}  ({check.scope}){extra}\n"
                     )
-            return 0 if report.passed else 2
-        if args.command == "info":
-            data = run_info(job)
-        elif args.command == "cosets":
-            data = run_cosets(job)
-        elif args.command == "klpolys":
-            data = run_klpolys(job)
         else:
-            data = run_characters(job, invert=args.invert, verma=args.verma)
-        if args.format == "json":
-            sys.stdout.write(render_json(data))
-        elif args.format == "latex":
-            sys.stdout.write(render_latex(args.command, data))
-        else:
-            sys.stdout.write(render_text(args.command, data))
-        return 0
+            code = 0
+            if args.command == "info":
+                data = run_info(job)
+            elif args.command == "cosets":
+                data = run_cosets(job)
+            elif args.command == "klpolys":
+                data = run_klpolys(job)
+            else:
+                data = run_characters(job, invert=args.invert, verma=args.verma)
+            if args.format == "json":
+                render_json(data, sys.stdout.write)
+            elif args.format == "latex":
+                render_latex(args.command, data, sys.stdout.write)
+            else:
+                render_text(args.command, data, sys.stdout.write)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (``whitkl ... | head``) and wants
+        # no more; fd 1 now points at devnull, so that the interpreter's
+        # final flush of what is buffered stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except (AssertionError, SpaceMismatchError) as exc:
         # a broken internal invariant, not bad input; SpaceMismatchError is
         # a ValueError, so this clause comes first

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,8 @@ from whitkl.cli import (
     parse_theta,
     parse_type,
     render_json,
+    render_latex,
+    render_text,
     run_characters,
     run_cosets,
     run_info,
@@ -440,3 +447,118 @@ def test_characters_verma_builds_one_table(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "540854d8966b4439f3273d84f5cc9f06f2bdd11416c73287839fb260b2791799"
     )
+
+
+# B4, Theta empty, lambda = -rho: a 384-coset block whose documents span
+# several chunks in every format
+B4_ARGS = ["--type", "B4", "--theta", "", "--lambda", "-1,-1,-1,-1"]
+
+
+@pytest.fixture(scope="module")
+def b4_job():
+    return Job("B", 4, (), Weight.minus_rho(4))
+
+
+@pytest.fixture(scope="module")
+def b4_characters(b4_job):
+    return run_characters(b4_job, invert=True)
+
+
+def _chunk_lengths(render, *args):
+    lengths = []
+    render(*args, lambda chunk: lengths.append(len(chunk)))
+    return lengths
+
+
+def test_multi_chunk_json_matches_json_dumps(capsys, b4_characters):
+    data = b4_characters
+    assert len(_chunk_lengths(render_json, data)) > 10
+    code, out, err = run_cli(
+        capsys, *B4_ARGS, "--format", "json", "characters", "--invert"
+    )
+    assert code == 0, err
+    text = render_json(data)
+    assert out == text
+    assert text == _reference_json(data)
+
+
+@pytest.mark.parametrize(
+    "fmt, command, digest",
+    [
+        (
+            "text",
+            "klpolys",
+            "092597d9231fedac869ca7e0819950c37808cb8a821929b518c314d618b0075f",
+        ),
+        (
+            "latex",
+            "klpolys",
+            "bdc5538bafd7fd5f3dcf5f4f6cfffd5a58c6cc38b0f1e9bc75ab72030d5f4b5f",
+        ),
+        (
+            "text",
+            "characters",
+            "4e64c392cf91177aa99877a7d587d39ff056d26930424d2d318b769b7fa10765",
+        ),
+        (
+            "latex",
+            "characters",
+            "a98f9a8b226e94507ee923042834bc0513cffad4e1e9c27ed5097e008fffd431",
+        ),
+    ],
+)
+def test_multi_chunk_text_and_latex_are_byte_stable(
+    capsys, b4_job, b4_characters, fmt, command, digest
+):
+    if command == "klpolys":
+        data, flags = run_klpolys(b4_job), []
+    else:
+        data, flags = b4_characters, ["--invert"]
+    render = render_text if fmt == "text" else render_latex
+    assert len(_chunk_lengths(render, command, data)) > 1
+    code, out, err = run_cli(capsys, *B4_ARGS, "--format", fmt, command, *flags)
+    assert code == 0, err
+    # digests of the output as written in one piece, before streaming
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_render_json_to_a_sink_holds_a_bounded_part(b4_characters):
+    data = b4_characters
+    length = sum(_chunk_lengths(render_json, data))
+    assert length > 10_000_000
+    tracemalloc.start()
+    try:
+        render_json(data, lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole text, as one str, would take at least ``length`` bytes
+    assert peak < length / 4, (peak, length)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "characters", "--invert"],
+        ["klpolys"],
+    ],
+)
+def test_closed_pipe_exits_quietly(argv):
+    # the reader takes a few bytes of a multi-chunk document and closes
+    # the pipe, as ``whitkl ... | head -c 100`` does
+    src = str(Path(whitkl.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "whitkl.cli", *B4_ARGS, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert len(head) == 100
+    assert err == b""
