@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .cosetlab import StabilizerData
 from .klengine import KLTable, build_kl_table
-from .laurent import LaurentPoly
 from .rootsystem import Weight, antidominance_witness, is_zero, pair
 from .weylgroup import WeylGroup
 
@@ -51,14 +50,28 @@ def _require_antidominant(group: WeylGroup, lam: Weight, regular_needed: bool):
                 )
 
 
+def _at_minus_one(kl: KLTable):
+    """(C, D, P_{CD}(-1)) over kl.polys, in its order.
+
+    Path A interns its polynomials, so each distinct value is one object
+    and is evaluated once; the table keeps every object alive, so an id
+    names one polynomial for the whole walk.
+    """
+    values: dict[int, int] = {}
+    for (c, d), poly in kl.polys.items():
+        value = values.get(id(poly))
+        if value is None:
+            value = values[id(poly)] = poly.eval_minus_one()
+        yield c, d, value
+
+
 def regular_formula(kl: KLTable) -> CharacterFormula:
     """Rows ch L(C) = sum_D P_{CD}(-1) ch M(D) over D in C's block."""
     _require_antidominant(kl.group, kl.lam, regular_needed=True)
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     labels = tuple(range(kl.tc.n_cosets))
     entries_by_row: dict[int, list[tuple[int, int]]] = {c: [] for c in labels}
-    for (c, d), poly in kl.polys.items():
-        value = poly.eval_minus_one()
+    for c, d, value in _at_minus_one(kl):
         if value != 0:
             entries_by_row[c].append((d, value))
     for c in labels:
@@ -117,18 +130,18 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     if len(rep_of_coset) != tc.n_cosets:
         raise AssertionError("stabilizer double cosets do not cover all cosets")
     labels = tuple(stab.a_theta_stab)
-    polys_by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
-    for (c, d), poly in kl.polys.items():
-        polys_by_row.setdefault(c, []).append((d, poly))
+    values_by_row: dict[int, list[tuple[int, int]]] = {}
+    for c, d, value in _at_minus_one(kl):
+        values_by_row.setdefault(c, []).append((d, value))
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for v in labels:
         c = tc.coset_of[v]
         if tc.cosets[c].shortest != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
         acc: dict[int, int] = {}
-        for d, poly in polys_by_row.get(c, ()):
+        for d, value in values_by_row.get(c, ()):
             z = rep_of_coset[d]
-            acc[z] = acc.get(z, 0) + poly.eval_minus_one()
+            acc[z] = acc.get(z, 0) + value
         rows[v] = tuple(sorted((z, coeff) for z, coeff in acc.items() if coeff))
     return CharacterFormula("singular", "element", labels, rows)
 

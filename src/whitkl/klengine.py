@@ -3,7 +3,11 @@
 Two independent paths compute the basis phi on the global coset module:
 
 * Path A (production): run the parabolic recursion inside each integral
-  model, then transport along ind.
+  model, then transport along ind.  `build_kl_table` keeps each model's
+  basis psi once, with every coefficient interned in one value -> object
+  store (the polynomials take few distinct values: 1 691 among the
+  396 809 of F4 with Theta empty at -rho), and serves phi and the
+  polynomial table as read-only views over psi.
 * Path B (cross-check): recurse directly on global cosets, using the
   T-operator for integral simple descents and label relabeling plus a
   weight move for non-integral ones.
@@ -26,7 +30,8 @@ bug detector and is surfaced, never patched.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass, field
 
 from .cosetlab import (
     CosetStep,
@@ -62,20 +67,141 @@ __all__ = [
 
 @dataclass
 class KLTable:
+    """Path A's table: one basis per integral model, stored once in psi.
+
+    `phi` and `polys` are read-only mappings over `psi`, each model's
+    `ind` and a coset -> (model, model coset) index; they copy nothing,
+    and `phi` builds each element when it is read.  Both iterate models in
+    order and each model's cosets by length, as `phi_transport` does;
+    each `polys` row gives its diagonal first, then the row's
+    coefficients.  A key outside them (an unknown or negative coset id, a
+    pair across two models) raises `KeyError`.
+    """
+
     group: WeylGroup
     tc: ThetaCosets
     lam: Weight
     idata: IntegralData
     models: list[IntegralModel]
     psi: dict[int, dict[int, HeckeElt]]  # u -> model coset -> element
-    phi: dict[int, HeckeElt]  # global coset -> element
-    polys: dict[tuple[int, int], LaurentPoly]  # (C, D) global ids -> P_{CD}
+    # global coset -> element
+    phi: Mapping[int, HeckeElt] = field(init=False, repr=False, compare=False)
+    # (C, D) global ids -> P_{CD}, diagonal included
+    polys: Mapping[tuple[int, int], LaurentPoly] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        where: list[tuple[IntegralModel, int] | None] = [None] * self.tc.n_cosets
+        for model in self.models:
+            for f, c in enumerate(model.ind):
+                where[c] = (model, f)
+        self._where = where
+        self._tag = global_tag(self.tc)
+        bases = [self.psi[model.u] for model in self.models]
+        self.phi = _View(
+            self._phi_pairs, self._phi_at, sum(len(psi) for psi in bases)
+        )
+        self.polys = _View(
+            self._poly_pairs,
+            self._poly_at,
+            sum(len(elt.coeffs) for psi in bases for elt in psi.values()),
+        )
 
     def model_of_coset(self, cid: int) -> IntegralModel:
-        for model in self.models:
-            if cid in model.restrict:
-                return model
+        return self._locate(cid)[0]
+
+    def _locate(self, cid) -> tuple[IntegralModel, int]:
+        """(model, model coset) of the global coset cid."""
+        if isinstance(cid, int) and 0 <= cid < len(self._where):
+            hit = self._where[cid]
+            if hit is not None:
+                return hit
         raise KeyError(f"coset {cid} not in any model")
+
+    def _phi_at(self, c: int) -> HeckeElt:
+        model, f = self._locate(c)
+        return _to_global(self._tag, model.ind, self.psi[model.u][f])
+
+    def _phi_pairs(self):
+        for model in self.models:
+            ind = model.ind
+            for f, elt in self.psi[model.u].items():
+                yield ind[f], _to_global(self._tag, ind, elt)
+
+    def _poly_at(self, key) -> LaurentPoly:
+        try:
+            c, d = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        model, f = self._locate(c)
+        other, g = self._locate(d)
+        poly = self.psi[model.u][f].coeffs.get(g) if other is model else None
+        if poly is None:
+            raise KeyError(key)
+        return poly
+
+    def _poly_pairs(self):
+        for model in self.models:
+            ind = model.ind
+            for f, g, poly in _model_polys(self.psi[model.u]):
+                yield (ind[f], ind[g]), poly
+
+
+class _View(Mapping):
+    """A read-only mapping given by its (key, value) pairs in order, a
+    lookup that raises KeyError, and its length."""
+
+    __slots__ = ("_pairs", "_lookup", "_len")
+
+    def __init__(self, pairs, lookup, length: int):
+        self._pairs = pairs
+        self._lookup = lookup
+        self._len = length
+
+    def __getitem__(self, key):
+        return self._lookup(key)
+
+    def __iter__(self):
+        return (key for key, _ in self._pairs())
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return (value for _, value in self._mapping._pairs())
+
+
+def _model_polys(psi: dict[int, HeckeElt]):
+    """(F, G, P_FG) over one model's basis: row by row in psi's order,
+    the diagonal first, then the row's coefficients in their order."""
+    for f, elt in psi.items():
+        coeffs = elt.coeffs
+        yield f, f, coeffs[f]
+        for g, poly in coeffs.items():
+            if g != f:
+                yield f, g, poly
+
+
+def _to_global(tag, ind, elt: HeckeElt) -> HeckeElt:
+    return HeckeElt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
 
 
 def kl_basis_model(model: IntegralModel):
@@ -84,36 +210,44 @@ def kl_basis_model(model: IntegralModel):
     Returns (psi, polys) where psi maps model coset ids to basis elements
     and polys maps (F, G) model coset pairs, diagonal included.
     """
+    psi = _kl_basis(model, {})
+    polys = {(f, g): poly for f, g, poly in _model_polys(psi)}
+    return psi, polys
+
+
+def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
+    """The basis recursion of one model, cosets by length.
+
+    Each finished element's coefficients are replaced by their canonical
+    objects in store (value -> object), so an equal polynomial is held
+    once however often it occurs; the diagonal 1 is one object.
+    """
     tag = model_tag(model)
     psi: dict[int, HeckeElt] = {}
-    polys: dict[tuple[int, int], LaurentPoly] = {}
     order = sorted(range(model.n_cosets), key=lambda f: (model.length(f), f))
     base = order[0]
     if 0 not in model.cosets[base].member_ids:
         raise AssertionError("base model coset does not contain the identity")
     for f in order:
         if f == base:
-            psi[f] = delta(tag, f)
-            polys[(f, f)] = LaurentPoly.one()
-            continue
-        alpha = None
-        for r in model.pi_lambda:
-            step, lower = model.times_simple(f, r)
-            if step is CosetStep.LOWER:
-                alpha = (r, lower)
-                break
-        if alpha is None:
-            raise AssertionError("non-base model coset admits no descent")
-        r, lower = alpha
-        xi = t_alpha_model(model, r, psi[lower])
-        xi = _subtract_mu(xi, model.length(f), psi.__getitem__, model.length)
-        _assert_kl_shape(xi, f, model.leq)
-        psi[f] = xi
-        polys[(f, f)] = LaurentPoly.one()
-        for g, poly in xi.coeffs.items():
-            if g != f:
-                polys[(f, g)] = poly
-    return psi, polys
+            xi = delta(tag, f)
+        else:
+            alpha = None
+            for r in model.pi_lambda:
+                step, lower = model.times_simple(f, r)
+                if step is CosetStep.LOWER:
+                    alpha = (r, lower)
+                    break
+            if alpha is None:
+                raise AssertionError("non-base model coset admits no descent")
+            r, lower = alpha
+            xi = t_alpha_model(model, r, psi[lower])
+            xi = _subtract_mu(xi, model.length(f), psi.__getitem__, model.length)
+            _assert_kl_shape(xi, f, model.leq)
+        psi[f] = HeckeElt(
+            xi.tag, {g: store.setdefault(p, p) for g, p in xi.coeffs.items()}
+        )
+    return psi
 
 
 def _subtract_mu(xi: HeckeElt, top_length: int, basis, length) -> HeckeElt:
@@ -161,10 +295,8 @@ def phi_transport(tc: ThetaCosets, models, psi_by_u) -> dict[int, HeckeElt]:
     tag = global_tag(tc)
     phi: dict[int, HeckeElt] = {}
     for model in models:
-        psi = psi_by_u[model.u]
-        for f, elt in psi.items():
-            coeffs = {model.ind[g]: poly for g, poly in elt.coeffs.items()}
-            phi[model.ind[f]] = HeckeElt(tag, coeffs)
+        for f, elt in psi_by_u[model.u].items():
+            phi[model.ind[f]] = _to_global(tag, model.ind, elt)
     return phi
 
 
@@ -249,31 +381,23 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
 
 
 def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
-    """Full Path-A pipeline: cosets, integral data, models, bases, phi."""
+    """Full Path-A pipeline: cosets, integral data, models, bases.
+
+    The bases share one polynomial store, so an equal coefficient is one
+    object across the whole table.
+    """
     tc = build_theta_cosets(group, theta)
     idata = integral_data(group, theta, lam)
     order = subgroup_bruhat(group, idata)
     models = [
         build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda
     ]
-    psi_by_u = {}
-    model_polys = {}
-    for model in models:
-        psi, polys = kl_basis_model(model)
-        psi_by_u[model.u] = psi
-        model_polys[model.u] = polys
-    phi = phi_transport(tc, models, psi_by_u)
-    global_polys: dict[tuple[int, int], LaurentPoly] = {}
-    for model in models:
-        for (f, g), poly in model_polys[model.u].items():
-            global_polys[(model.ind[f], model.ind[g])] = poly
+    store: dict[LaurentPoly, LaurentPoly] = {}
     return KLTable(
         group=group,
         tc=tc,
         lam=lam,
         idata=idata,
         models=models,
-        psi=psi_by_u,
-        phi=phi,
-        polys=global_polys,
+        psi={model.u: _kl_basis(model, store) for model in models},
     )
