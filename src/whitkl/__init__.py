@@ -35,6 +35,7 @@ from .heckemodule import (
 from .klengine import (
     KLTable,
     build_kl_table,
+    build_models,
     kl_basis_model,
     phi_direct,
     phi_transport,
@@ -76,6 +77,7 @@ __all__ = [
     "WeylGroup",
     "build_integral_model",
     "build_kl_table",
+    "build_models",
     "build_root_system",
     "build_theta_cosets",
     "classify",

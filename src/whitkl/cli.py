@@ -33,7 +33,7 @@ from .charformula import (
 )
 from .cosetlab import stabilizer_data
 from .heckemodule import SpaceMismatchError
-from .klengine import build_kl_table, phi_direct
+from .klengine import build_kl_table, build_models, phi_direct
 from .oracle import (
     OracleReport,
     bruhat_subword,
@@ -275,8 +275,7 @@ def _model_entry(job, model):
 
 
 def run_info(job):
-    table = build_kl_table(job.group, job.theta, job.lam)
-    tc, idata = table.tc, table.idata
+    tc, idata, models = build_models(job.group, job.theta, job.lam)
     data = {
         "context": job.context(),
         "sigma_lambda_pos": [root_name(job.rs, r) for r in idata.sigma_lambda_pos],
@@ -284,7 +283,7 @@ def run_info(job):
         "a_lambda": [elt_name(job.group, u) for u in idata.a_lambda],
         "a_theta_lambda": [elt_name(job.group, u) for u in idata.a_theta_lambda],
         "cosets": [_coset_entry(job.group, tc, c) for c in tc.cosets],
-        "models": [_model_entry(job, m) for m in table.models],
+        "models": [_model_entry(job, m) for m in models],
     }
     return data
 

@@ -135,12 +135,7 @@ class ThetaCosets:
     def _ideal(self, c: int) -> int:
         ideal = self._ideals[c]
         if ideal is None:
-            for s in self._steps:
-                step, lower = self.times_simple(c, s)
-                if step is CosetStep.LOWER:
-                    break
-            else:
-                raise AssertionError(f"coset {c} admits no simple descent")
+            s, lower = self.descent(c)
             below = self._ideal(lower)
             right = self._steps[s]
             coset_of, longest = self.coset_of, self._longest
@@ -172,6 +167,14 @@ class ThetaCosets:
         if self._lengths[target] > self._lengths[c]:
             return (CosetStep.RAISE, target)
         return (CosetStep.LOWER, target)
+
+    def descent(self, c: int) -> tuple[int, int]:
+        """(s, C s) for the first generator s that lowers C."""
+        for s in self._steps:
+            step, lower = self.times_simple(c, s)
+            if step is CosetStep.LOWER:
+                return s, lower
+        raise AssertionError(f"coset {c} admits no simple descent")
 
     def times_element(self, c: int, w: int) -> int:
         """Coset of C w (well-defined from any member)."""

@@ -9,6 +9,9 @@ they act on and give their result the input's own tag object, so elements
 derived from one `delta` share it and the check in `+`/`-` succeeds on
 identity; tags that are different objects are still compared by value.
 
+A model tag names the model's class, (Theta, Theta(u,lambda), lambda), not
+its u: the models of one class are one module, with one basis.
+
 Coefficients are combined with `LaurentPoly` arithmetic, whose results need
 no validation (see `laurent`); the public `HeckeElt(tag, coeffs)` drops
 zero coefficients.
@@ -41,7 +44,7 @@ def global_tag(tc: ThetaCosets):
 
 
 def model_tag(model: IntegralModel):
-    return ("model", model.tc.theta, model.u, model.idata.lam)
+    return ("model", model.tc.theta, model.theta_u_lambda, model.idata.lam)
 
 
 class HeckeElt:
@@ -117,10 +120,11 @@ def _own_tag(x: HeckeElt, tag):
     return x.tag
 
 
-def _apply_three_case(x: HeckeElt, step_of, tag) -> HeckeElt:
+def _apply_three_case(x: HeckeElt, tc: ThetaCosets, s, tag) -> HeckeElt:
+    times_simple = tc.times_simple
     out: dict[int, LaurentPoly] = {}
     for cid, poly in x.coeffs.items():
-        step, target = step_of(cid)
+        step, target = times_simple(cid, s)
         if step is CosetStep.FIX:
             continue
         shifted = poly.shift(1 if step is CosetStep.RAISE else -1)
@@ -134,7 +138,7 @@ def _apply_three_case(x: HeckeElt, step_of, tag) -> HeckeElt:
 def t_alpha(tc: ThetaCosets, alpha: int, x: HeckeElt) -> HeckeElt:
     """T_alpha on the global module: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
     tag = _own_tag(x, global_tag(tc))
-    return _apply_three_case(x, lambda cid: tc.times_simple(cid, alpha), tag)
+    return _apply_three_case(x, tc, alpha, tag)
 
 
 def t_alpha_model(model: IntegralModel, alpha_root: int, x: HeckeElt) -> HeckeElt:
@@ -142,9 +146,7 @@ def t_alpha_model(model: IntegralModel, alpha_root: int, x: HeckeElt) -> HeckeEl
     if alpha_root not in model.pi_lambda:
         raise ValueError(f"root {alpha_root} is not in Pi_lambda")
     tag = _own_tag(x, model_tag(model))
-    return _apply_three_case(
-        x, lambda cid: model.times_simple(cid, alpha_root), tag
-    )
+    return _apply_three_case(x, model.quotient, alpha_root, tag)
 
 
 def right_mult_simple(tc: ThetaCosets, x: HeckeElt, i: int) -> HeckeElt:

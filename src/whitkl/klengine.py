@@ -2,12 +2,12 @@
 
 Two independent paths compute the basis phi on the global coset module:
 
-* Path A (production): run the parabolic recursion inside each integral
-  model, then transport along ind.  `build_kl_table` keeps each model's
-  basis psi once, with every coefficient interned in one value -> object
-  store (the polynomials take few distinct values: 1 691 among the
-  396 809 of F4 with Theta empty at -rho), and serves phi and the
-  polynomial table as read-only views over psi.
+* Path A (production): run the parabolic recursion once per model class
+  (the models sharing one coset table), then transport along ind.
+  `build_kl_table` keeps one basis psi per class, with every coefficient
+  interned in one value -> object store (the polynomials take few
+  distinct values: 1 691 among the 396 809 of F4 with Theta empty at
+  -rho), and serves phi and the polynomial table as views over psi.
 * Path B (cross-check): recurse directly on global cosets, using the
   T-operator for integral simple descents and label relabeling plus a
   weight move for non-integral ones.
@@ -61,13 +61,15 @@ __all__ = [
     "kl_basis_model",
     "phi_transport",
     "phi_direct",
+    "build_models",
     "build_kl_table",
 ]
 
 
 @dataclass
 class KLTable:
-    """Path A's table: one basis per integral model, stored once in psi.
+    """Path A's table: one basis per model class, stored once in psi;
+    `psi[u]` is u's class's basis, one dict shared by the class.
 
     `phi` and `polys` are read-only mappings over `psi`, each model's
     `ind` and a coset -> (model, model coset) index; they copy nothing,
@@ -83,7 +85,7 @@ class KLTable:
     lam: Weight
     idata: IntegralData
     models: list[IntegralModel]
-    psi: dict[int, dict[int, HeckeElt]]  # u -> model coset -> element
+    psi: dict[int, dict[int, HeckeElt]]  # u -> class's model coset -> element
     # global coset -> element
     phi: Mapping[int, HeckeElt] = field(init=False, repr=False, compare=False)
     # (C, D) global ids -> P_{CD}, diagonal included
@@ -216,34 +218,26 @@ def kl_basis_model(model: IntegralModel):
 
 
 def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
-    """The basis recursion of one model, cosets by length.
+    """The basis recursion on the model's coset table, by coset id: ids
+    ascend by length, and coset 0 is W_lambda's own.
 
     Each finished element's coefficients are replaced by their canonical
     objects in store (value -> object), so an equal polynomial is held
     once however often it occurs; the diagonal 1 is one object.
     """
+    quotient = model.quotient
     tag = model_tag(model)
-    psi: dict[int, HeckeElt] = {}
-    order = sorted(range(model.n_cosets), key=lambda f: (model.length(f), f))
-    base = order[0]
-    if 0 not in model.cosets[base].member_ids:
+    if 0 not in quotient.cosets[0].member_ids:
         raise AssertionError("base model coset does not contain the identity")
-    for f in order:
-        if f == base:
-            xi = delta(tag, f)
+    psi: dict[int, HeckeElt] = {}
+    for f in range(quotient.n_cosets):
+        if f == 0:
+            xi = delta(tag, 0)
         else:
-            alpha = None
-            for r in model.pi_lambda:
-                step, lower = model.times_simple(f, r)
-                if step is CosetStep.LOWER:
-                    alpha = (r, lower)
-                    break
-            if alpha is None:
-                raise AssertionError("non-base model coset admits no descent")
-            r, lower = alpha
+            r, lower = quotient.descent(f)
             xi = t_alpha_model(model, r, psi[lower])
-            xi = _subtract_mu(xi, model.length(f), psi.__getitem__, model.length)
-            _assert_kl_shape(xi, f, model.leq)
+            xi = _subtract_mu(xi, quotient.length(f), psi.__getitem__, quotient.length)
+            _assert_kl_shape(xi, f, quotient.leq)
         psi[f] = HeckeElt(
             xi.tag, {g: store.setdefault(p, p) for g, p in xi.coeffs.items()}
         )
@@ -380,24 +374,35 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     return {c: compute(start, c) for c in range(tc.n_cosets)}
 
 
-def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
-    """Full Path-A pipeline: cosets, integral data, models, bases.
-
-    The bases share one polynomial store, so an equal coefficient is one
-    object across the whole table.
-    """
+def build_models(group: WeylGroup, theta, lam: Weight):
+    """(cosets, integral data, integral models): the pipeline before any basis."""
     tc = build_theta_cosets(group, theta)
     idata = integral_data(group, theta, lam)
     order = subgroup_bruhat(group, idata)
     models = [
         build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda
     ]
+    return tc, idata, models
+
+
+def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
+    """Full Path-A pipeline: cosets, integral data, models, bases.
+
+    The recursion runs once per distinct model coset table, and the bases
+    share one polynomial store, so an equal coefficient is one object
+    across the whole table.
+    """
+    tc, idata, models = build_models(group, theta, lam)
     store: dict[LaurentPoly, LaurentPoly] = {}
+    bases: dict[ThetaCosets, dict[int, HeckeElt]] = {}
+    for model in models:
+        if model.quotient not in bases:
+            bases[model.quotient] = _kl_basis(model, store)
     return KLTable(
         group=group,
         tc=tc,
         lam=lam,
         idata=idata,
         models=models,
-        psi={model.u: _kl_basis(model, store) for model in models},
+        psi={model.u: bases[model.quotient] for model in models},
     )

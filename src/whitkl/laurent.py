@@ -141,18 +141,9 @@ class LaurentPoly:
         """True iff the polynomial lies in qZ[q] (every exponent >= 1)."""
         return all(e >= 1 for e in self._terms)
 
-    def in_Zq(self) -> bool:
-        """True iff an ordinary polynomial (no negative exponents)."""
-        return all(e >= 0 for e in self._terms)
-
     def parity_homogeneous(self, d: int) -> bool:
         """True iff every exponent is congruent to d mod 2."""
         return all((e - d) % 2 == 0 for e in self._terms)
-
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
 
     def max_exp(self) -> int:
         if not self._terms:

@@ -136,9 +136,6 @@ class RootSystem:
     def n_roots(self) -> int:
         return len(self.roots)
 
-    def is_positive(self, root_index: int) -> bool:
-        return root_index < self.positive_root_count
-
     def negate(self, root_index: int) -> int:
         p = self.positive_root_count
         return root_index - p if root_index >= p else root_index + p
