@@ -12,6 +12,7 @@ derived tables are deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,11 +133,12 @@ class ThetaCosets:
         self._lengths = [lengths[c.longest] for c in cosets]
         self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
 
-    def _ideal(self, c: int) -> int:
+    def ideal(self, c: int) -> int:
+        """The lower ideal of C: bit D is set iff D <= C."""
         ideal = self._ideals[c]
         if ideal is None:
             s, lower = self.descent(c)
-            below = self._ideal(lower)
+            below = self.ideal(lower)
             right = self._steps[s]
             coset_of, longest = self.coset_of, self._longest
             ideal = below
@@ -146,11 +148,11 @@ class ThetaCosets:
         return ideal
 
     def leq(self, c: int, d: int) -> bool:
-        return self._ideal(d) >> c & 1 == 1
+        return self.ideal(d) >> c & 1 == 1
 
     def below(self, c: int) -> list[int]:
         """Ascending ids of the cosets strictly below C."""
-        return [d for d in _bits(self._ideal(c)) if d != c]
+        return [d for d in _bits(self.ideal(c)) if d != c]
 
     def length(self, c: int) -> int:
         return self._lengths[c]
@@ -181,9 +183,17 @@ class ThetaCosets:
         return self.coset_of[self.group.mult(self._longest[c], w)]
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int) -> list[int]:
-    """Ascending positions of the set bits of mask."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """Ascending positions of the set bits of mask.
+
+    The binary digits, lowest first, become a bytes of 0/1 flags that
+    `compress` reads, so no Python-level step runs per bit.
+    """
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(itertools.compress(range(len(flags)), flags))
 
 
 def build_theta_cosets(group: WeylGroup, theta) -> ThetaCosets:

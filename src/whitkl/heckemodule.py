@@ -14,7 +14,10 @@ its u: the models of one class are one module, with one basis.
 
 Coefficients are combined with `LaurentPoly` arithmetic, whose results need
 no validation (see `laurent`); the public `HeckeElt(tag, coeffs)` drops
-zero coefficients.
+zero coefficients, and the private `_trusted_elt` wraps a map that already
+has none (a relabelling of an element, a finished basis element).  An
+element only stores and combines its coefficients, so Path A's kernel in
+`klengine` also uses it over packed ints while it runs.
 """
 
 from __future__ import annotations
@@ -109,6 +112,18 @@ class HeckeElt:
         return f"HeckeElt({body or '0'})"
 
 
+_new_elt = object.__new__
+
+
+def _trusted_elt(tag, coeffs: dict) -> HeckeElt:
+    """Wrap coeffs, a map with no zero coefficient that the new element
+    owns, without checking it."""
+    elt = _new_elt(HeckeElt)
+    elt.tag = tag
+    elt.coeffs = coeffs
+    return elt
+
+
 def delta(tag, cid: int) -> HeckeElt:
     return HeckeElt(tag, {cid: LaurentPoly.one()})
 
@@ -161,7 +176,7 @@ def right_mult_simple(tc: ThetaCosets, x: HeckeElt, i: int) -> HeckeElt:
         if target in out:
             raise AssertionError(f"C -> C s_{i} sends two cosets to {target}")
         out[target] = poly
-    return HeckeElt(tag, out)
+    return _trusted_elt(tag, out)
 
 
 def restrict_lambda(

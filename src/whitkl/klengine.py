@@ -12,16 +12,33 @@ Two independent paths compute the basis phi on the global coset module:
   T-operator for integral simple descents and label relabeling plus a
   weight move for non-integral ones.
 
+Path A's recursion runs on packed ints.  Every polynomial it meets lies
+in Z[q]: the basis coefficients off the diagonal are in qZ[q], and only
+those meet T's q^-1.  So a polynomial is kept as its value at q = 2**B
+(B = `_DIGIT_BITS`, 64), whose balanced base-2**B digits, each in
+[-2**(B-1), 2**(B-1)), are its coefficients: q p is p << B, q^-1 p is
+p >> B, mu is the balanced low digit, and p is in qZ[q] iff p & (2**B - 1)
+is 0.  `_digit_cap` bounds every stored coefficient and every mu so that
+no digit of any intermediate overflows; a larger one raises
+AssertionError, so a width too small for a table fails and never yields
+wrong values.  At the end each distinct value is decoded to one
+`LaurentPoly`, and the table hands out `HeckeElt`s over those.  Path B
+stays on `LaurentPoly`: the paths share no polynomial arithmetic, so
+their agreement also checks the packing.
+
 At an integral descent both paths apply one T-operator to a shorter
 basis element, getting xi, then subtract mu * basis(D) for every shorter
 D whose coefficient in xi has a nonzero constant term mu, longest D
-first.  `_subtract_mu` does this for both paths.  It walks only xi's
-support, longest first and by id among equal lengths, with a heap that
-gains the cosets each subtraction brings into the support (du Cloux,
-"Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups",
-Experiment. Math. 11, 2002).  A coset outside the support has no
-constant term, so the walk makes exactly the subtractions, in exactly
-the order, of a scan over every shorter coset.
+first.  `_subtract_mu` does this for both paths, on either ring.  It
+walks only xi's support, longest first and by id among equal lengths,
+with a heap that gains the cosets each subtraction brings into the
+support (du Cloux, "Computing Kazhdan-Lusztig polynomials for arbitrary
+Coxeter groups", Experiment. Math. 11, 2002).  A coset outside the
+support has no constant term, so the walk makes exactly the
+subtractions, in exactly the order, of a scan over every shorter coset.
+`_assert_kl_shape` checks both paths' results.  Path A applies T on
+packed ints itself, from a per-generator table of coset steps; Path B
+uses `heckemodule.t_alpha`.
 
 The two must agree everywhere; disagreement is the strongest available
 bug detector and is surfaced, never patched.
@@ -45,12 +62,12 @@ from .cosetlab import (
 )
 from .heckemodule import (
     HeckeElt,
+    _trusted_elt,
     delta,
     global_tag,
     model_tag,
     right_mult_simple,
     t_alpha,
-    t_alpha_model,
 )
 from .laurent import LaurentPoly
 from .rootsystem import Weight, is_integer, pair
@@ -203,7 +220,7 @@ def _model_polys(psi: dict[int, HeckeElt]):
 
 
 def _to_global(tag, ind, elt: HeckeElt) -> HeckeElt:
-    return HeckeElt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
+    return _trusted_elt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
 
 
 def kl_basis_model(model: IntegralModel):
@@ -217,71 +234,193 @@ def kl_basis_model(model: IntegralModel):
     return psi, polys
 
 
+# Path A's digit width B: a polynomial in Z[q] is the int it takes at q = 2**B
+_DIGIT_BITS = 64
+# a model has at most 2**16 cosets (the group-size cap is 51 840), so an
+# element takes at most 2**16 subtractions
+_COSET_BITS = 16
+
+
+def _digit_cap() -> int:
+    """The largest |coefficient| of a stored value, and the largest |mu|.
+
+    With both at most 2**k, k = (B - 2 - 16) // 2, a digit of an
+    intermediate sums one T-step's two stored digits, at most 2**(k+1),
+    and fewer than 2**16 products of a mu and a stored digit, at most
+    2**(16+2k) <= 2**(B-2).  So it stays below 2**(B-1) in size, and the
+    balanced digits are the coefficients.  B must be at least 18 (k >= 0);
+    at B = 64 the cap is 2**23.
+    """
+    k = (_DIGIT_BITS - 2 - _COSET_BITS) // 2
+    if k < 0:
+        raise AssertionError(f"digit width {_DIGIT_BITS} holds no coefficient")
+    return 1 << k
+
+
+def _encode(poly: LaurentPoly) -> int:
+    """poly, in Z[q], at q = 2**B."""
+    if any(e < 0 for e, _ in poly.items()):
+        raise ValueError(f"{poly.text()} is not in Z[q]")
+    return sum(c << _DIGIT_BITS * e for e, c in poly.items())
+
+
+def _decode(packed: int, cap: int) -> LaurentPoly:
+    """The polynomial whose balanced base-2**B digits are packed's; a digit
+    above cap in size raises AssertionError."""
+    bits = _DIGIT_BITS
+    base = 1 << bits
+    terms = {}
+    e = 0
+    while packed:
+        digit = packed & base - 1
+        if digit >= base >> 1:
+            digit -= base
+        if digit:
+            if not -cap <= digit <= cap:
+                raise AssertionError(
+                    f"coefficient {digit} of q^{e} is above the cap {cap} "
+                    f"of {bits}-bit digits"
+                )
+            terms[e] = digit
+        packed = (packed - digit) >> bits
+        e += 1
+    return LaurentPoly(terms)
+
+
 def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     """The basis recursion on the model's coset table, by coset id: ids
     ascend by length, and coset 0 is W_lambda's own.
 
-    Each finished element's coefficients are replaced by their canonical
-    objects in store (value -> object), so an equal polynomial is held
-    once however often it occurs; the diagonal 1 is one object.
+    The recursion runs on packed ints (see `_digit_cap`): q p is p << B, and
+    q^-1 p, met only on coefficients in qZ[q], is p >> B.  Each finished
+    element's coefficients are interned.  At the end each value new to
+    store (packed int -> LaurentPoly, shared by the table) is decoded once
+    and checked against the cap, and the basis is handed back on the
+    decoded objects, so an equal polynomial is held once however often it
+    occurs.  Every mu is checked as it is read.  Checking stored values
+    at the end suffices: the first one above the cap was computed from
+    values within it, so its digits are exact and its check fails.
     """
     quotient = model.quotient
+    n = quotient.n_cosets
     tag = model_tag(model)
     if 0 not in quotient.cosets[0].member_ids:
         raise AssertionError("base model coset does not contain the identity")
-    psi: dict[int, HeckeElt] = {}
-    for f in range(quotient.n_cosets):
+    if n > 1 << _COSET_BITS:
+        raise AssertionError(f"{n} cosets in one model")
+    bits = _DIGIT_BITS
+    mask = (1 << bits) - 1
+    cap = _digit_cap()
+    raise_ = CosetStep.RAISE
+    fix = CosetStep.FIX
+    moves: dict = {}  # generator -> its (step, target) for every coset
+
+    def constant(p: int) -> int:
+        mu = p & mask
+        if mu >> bits - 1:
+            mu -= mask + 1
+        if not -cap <= mu <= cap:
+            raise AssertionError(f"mu {mu} is above the cap {cap}")
+        return mu
+
+    def in_qzq(p: int) -> bool:
+        return not p & mask
+
+    canon: dict[int, int] = {}
+    packed: dict[int, HeckeElt] = {}
+    for f in range(n):
         if f == 0:
-            xi = delta(tag, 0)
+            xi = _trusted_elt(tag, {0: 1})
         else:
             r, lower = quotient.descent(f)
-            xi = t_alpha_model(model, r, psi[lower])
-            xi = _subtract_mu(xi, quotient.length(f), psi.__getitem__, quotient.length)
-            _assert_kl_shape(xi, f, quotient.leq)
-        psi[f] = HeckeElt(
-            xi.tag, {g: store.setdefault(p, p) for g, p in xi.coeffs.items()}
-        )
-    return psi
+            move = moves.get(r)
+            if move is None:
+                move = moves[r] = [quotient.times_simple(c, r) for c in range(n)]
+            out: dict[int, int] = {}
+            for cid, p in packed[lower].coeffs.items():
+                step, target = move[cid]
+                if step is fix:
+                    continue
+                if step is raise_:
+                    shifted = p << bits
+                elif p & mask:
+                    raise AssertionError(f"q^-1 meets a constant term at {cid}")
+                else:
+                    shifted = p >> bits
+                out[cid] = out.get(cid, 0) + shifted
+                out[target] = out.get(target, 0) + p
+            xi = _trusted_elt(tag, {c: p for c, p in out.items() if p})
+            xi = _subtract_mu(
+                xi, quotient.length(f), packed.__getitem__, quotient.length, constant
+            )
+            _assert_kl_shape(xi, f, quotient.ideal(f), in_qzq)
+        xi.coeffs = {g: canon.setdefault(p, p) for g, p in xi.coeffs.items()}
+        packed[f] = xi
+    for p in canon:
+        if p not in store:
+            store[p] = _decode(p, cap)
+    return {
+        f: _trusted_elt(tag, {g: store[p] for g, p in packed.pop(f).coeffs.items()})
+        for f in range(n)
+    }
 
 
-def _subtract_mu(xi: HeckeElt, top_length: int, basis, length) -> HeckeElt:
+def _constant_term(poly: LaurentPoly) -> int:
+    return poly.coeff(0)
+
+
+def _subtract_mu(
+    xi: HeckeElt, top_length: int, basis, length, constant=_constant_term
+) -> HeckeElt:
     """Clear the constant terms of xi below top_length.
 
     For each D in xi's support with length(D) < top_length, longest first
     and by id among equal lengths, whose coefficient has a nonzero
-    constant term mu, subtract basis(D).scale(mu).  basis(D) lives on the
+    constant term mu, subtract mu * basis(D).  basis(D) lives on the
     lower interval of D, so each subtraction only brings in cosets that
     come later in the walk; they are pushed as they appear.
+
+    The walk works on a copy of xi's coefficient map in either ring:
+    `LaurentPoly`, or Path A's packed ints with their own constant-term
+    function.
     """
-    heap = [(-length(d), d) for d in xi.coeffs if length(d) < top_length]
+    coeffs = dict(xi.coeffs)
+    heap = [(-ell, d) for d in coeffs if (ell := length(d)) < top_length]
     heapq.heapify(heap)
     queued = {d for _, d in heap}
     while heap:
         _, d = heapq.heappop(heap)
-        mu = xi.coeff(d).coeff(0)
+        poly = coeffs.get(d)
+        if poly is None:
+            continue
+        mu = constant(poly)
         if not mu:
             continue
-        lower = basis(d)
-        xi = xi - lower.scale(mu)
-        for e in lower.coeffs:
+        for e, poly in basis(d).coeffs.items():
+            value = coeffs.get(e, 0) - poly * mu
+            if value:
+                coeffs[e] = value
+            else:
+                del coeffs[e]
             if e not in queued and length(e) < top_length:
                 queued.add(e)
                 heapq.heappush(heap, (-length(e), e))
-    return xi
+    return _trusted_elt(xi.tag, coeffs)
 
 
-def _assert_kl_shape(elt: HeckeElt, top: int, leq) -> None:
-    if elt.coeff(top) != LaurentPoly.one():
+def _assert_kl_shape(
+    elt: HeckeElt, top: int, ideal: int, in_qzq=LaurentPoly.in_qZq
+) -> None:
+    """elt's coefficient at top is 1, the others are in qZ[q] (in_qzq, for
+    either ring), and its support lies in ideal, top's lower ideal."""
+    coeffs = elt.coeffs
+    if coeffs.get(top) != 1:
         raise AssertionError(f"leading coefficient at {top} is not 1")
-    for cid, poly in elt.coeffs.items():
-        if cid == top:
-            continue
-        if not poly.in_qZq():
-            raise AssertionError(
-                f"coefficient {poly.text()} at {cid} has a constant term"
-            )
-        if not leq(cid, top):
+    for cid, poly in coeffs.items():
+        if not ideal >> cid & 1:
             raise AssertionError(f"support at {cid} escapes the lower interval")
+        if cid != top and not in_qzq(poly):
+            raise AssertionError(f"coefficient at {cid} is not in qZ[q]")
 
 
 def phi_transport(tc: ThetaCosets, models, psi_by_u) -> dict[int, HeckeElt]:
@@ -366,7 +505,7 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
                     break
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
-        _assert_kl_shape(result, c, tc.leq)
+        _assert_kl_shape(result, c, tc.ideal(c))
         memo[key] = result
         return result
 
@@ -393,7 +532,7 @@ def build_kl_table(group: WeylGroup, theta, lam: Weight) -> KLTable:
     across the whole table.
     """
     tc, idata, models = build_models(group, theta, lam)
-    store: dict[LaurentPoly, LaurentPoly] = {}
+    store: dict[int, LaurentPoly] = {}
     bases: dict[ThetaCosets, dict[int, HeckeElt]] = {}
     for model in models:
         if model.quotient not in bases:

@@ -551,3 +551,30 @@ def test_models_with_equal_theta_u_lambda_share_one_quotient():
     quotient = table.models[0].quotient
     assert quotient.n_cosets == 12
     assert set(quotient.w_theta_ids) == {0}
+
+
+def _bits_by_text(mask):
+    """The expression `cosetlab._bits` used to be."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def test_bits_gives_the_set_positions_in_ascending_order():
+    import random
+
+    rng = random.Random(11)
+    masks = [0, 1, 2, 3, 1 << 200, (1 << 300) - 1]
+    for _ in range(300):
+        width = rng.randrange(1, 2500)
+        masks.append(rng.getrandbits(width) & rng.getrandbits(width))
+        masks.append(rng.getrandbits(width) | rng.getrandbits(width))
+    for mask in masks:
+        assert cosetlab._bits(mask) == _bits_by_text(mask)
+
+
+def test_below_unchanged_on_d5_theta_empty():
+    tc = cosetlab.build_theta_cosets(get_group("D", 5), ())
+    for c in range(tc.n_cosets):
+        below = tc.below(c)
+        assert below == [d for d in _bits_by_text(tc.ideal(c)) if d != c]
+        assert all(tc.leq(d, c) for d in below)
+    assert sum(len(tc.below(c)) for c in range(tc.n_cosets)) > 0

@@ -7,7 +7,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from whitkl import Weight, build_kl_table, phi_direct  # noqa: E402
+from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct  # noqa: E402
+from whitkl.klengine import _decode, _digit_cap, _encode  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 
@@ -52,3 +53,18 @@ def test_path_b_agrees_with_path_a(case, data):
     theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
     table = build_kl_table(get_group(letter, rank), theta, lam)
     assert phi_direct(table.tc, lam) == table.phi
+
+
+@st.composite
+def polys_in_zq(draw):
+    """A polynomial in Z[q] with mixed-sign coefficients inside Path A's
+    digit cap, the cap itself included."""
+    cap = _digit_cap()
+    coeff = st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap]))
+    return LaurentPoly(dict(enumerate(draw(st.lists(coeff, max_size=30)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_in_zq())
+def test_packed_encode_then_decode_is_the_identity(poly):
+    assert _decode(_encode(poly), _digit_cap()) == poly
