@@ -31,7 +31,7 @@ from .charformula import (
     singular_formula,
     verma_formula,
 )
-from .cosetlab import stabilizer_data
+from .cosetlab import build_theta_cosets, stabilizer_data
 from .heckemodule import SpaceMismatchError
 from .klengine import build_kl_table, build_models, phi_direct
 from .oracle import (
@@ -375,7 +375,7 @@ def run_verify(job):
     group = job.group
     report = OracleReport()
     scope = f"{job.rs.type_letter}{job.rs.rank}"
-    # Bruhat order against the subword oracle
+    # the pipeline's Bruhat order (Theta-empty cosets) against the subword oracle
     if group.size <= 48:
         pairs = [(v, w) for v in range(group.size) for w in range(group.size)]
         kind = "exhaustive"
@@ -390,12 +390,14 @@ def run_verify(job):
             if len(group.elements[w].word) <= 12:
                 pairs.append((v, w))
         kind = "sampled-10k"
+    order = build_theta_cosets(group, ())
+    coset_of = order.coset_of
     ok = True
     witness = None
     for v, w in pairs:
         if len(group.elements[w].word) > 12:
             continue
-        if bruhat_subword(group, v, w) != group.bruhat_leq(v, w):
+        if bruhat_subword(group, v, w) != order.leq(coset_of[v], coset_of[w]):
             ok = False
             witness = f"(v={v}, w={w})"
             break

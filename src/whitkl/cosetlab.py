@@ -314,17 +314,8 @@ def integral_data(group: WeylGroup, theta, lam: Weight) -> IntegralData:
         raise AssertionError(
             "integral Weyl group disagrees with its lattice description"
         )
-    p = rs.positive_root_count
-    a_lambda = tuple(
-        sorted(
-            (
-                u
-                for u in range(group.size)
-                if all(group.elements[u].images[r] < p for r in sigma_pos)
-            ),
-            key=lambda u: (group.length(u), u),
-        )
-    )
+    # u(Sigma_lambda^+) > 0 iff u(Pi_lambda) > 0; ids ascend with length
+    a_lambda = tuple(group.positive_on(pi_lambda))
     if len(a_lambda) * len(w_lambda) != group.size:
         raise AssertionError("|A_lambda| * |W_lambda| != |W|")
     theta = tuple(sorted(theta))
@@ -342,13 +333,8 @@ def integral_data(group: WeylGroup, theta, lam: Weight) -> IntegralData:
 
 def _shortest_coset_reps(group: WeylGroup, theta) -> frozenset[int]:
     """w_Theta . ^Theta W = {w : w^-1 Theta inside positive roots}."""
-    p = group.rs.positive_root_count
-    result = set()
-    for w in range(group.size):
-        inv_images = group.elements[group.inverse[w]].images
-        if all(inv_images[i] < p for i in theta):
-            result.add(w)
-    return frozenset(result)
+    inverse = group.inverse
+    return frozenset(inverse[x] for x in group.positive_on(theta))
 
 
 class IntegralSystem:
@@ -365,16 +351,23 @@ class IntegralSystem:
     def __init__(self, group: WeylGroup, idata: "IntegralData"):
         self.group = group
         self.members = sorted(idata.w_lambda_ids)
-        p = group.rs.positive_root_count
-        sigma = idata.sigma_lambda_pos
-        self.lengths = {
-            w: sum(1 for r in sigma if group.elements[w].images[r] >= p)
-            for w in self.members
-        }
         self.steps = {
             r: {w: group.mult(w, group.reflection(r)) for w in self.members}
             for r in idata.pi_lambda
         }
+        # ell_lambda is the length of (W_lambda, Pi_lambda): the distance
+        # from e over the right steps by the reflections of Pi_lambda
+        self.lengths = lengths = {0: 0}
+        layer = [0]
+        while layer:
+            nxt = []
+            for w in layer:
+                for step in self.steps.values():
+                    x = step[w]
+                    if x not in lengths:
+                        lengths[x] = lengths[w] + 1
+                        nxt.append(x)
+            layer = nxt
         self._cosets: dict[tuple[int, ...], ThetaCosets] = {}
 
     def cosets(self, theta) -> ThetaCosets:
@@ -602,17 +595,8 @@ def stabilizer_data(group: WeylGroup, theta, lam: Weight) -> StabilizerData:
         raise AssertionError(
             "stabilizer is not the reflection subgroup of the zero roots"
         )
-    p = rs.positive_root_count
+    # u(zero roots^+) > 0 iff u sends their simple roots to positive roots
+    zero_simple = _simple_roots_of(rs, zero_pos)
     shortest_reps = _shortest_coset_reps(group, tuple(sorted(theta)))
-    a_stab = tuple(
-        sorted(
-            (
-                u
-                for u in range(group.size)
-                if all(group.elements[u].images[r] < p for r in zero_pos)
-                and u in shortest_reps
-            ),
-            key=lambda u: (group.length(u), u),
-        )
-    )
+    a_stab = tuple(u for u in group.positive_on(zero_simple) if u in shortest_reps)
     return StabilizerData(w_stab_ids=stab, a_theta_stab=a_stab)

@@ -11,13 +11,14 @@ with `classical_kl`.  Speed is a non-goal.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 from .cosetlab import IntegralData, ThetaCosets
 from .klengine import build_kl_table
 from .laurent import LaurentPoly
-from .rootsystem import Weight, is_integer, pair, weight_flags
+from .rootsystem import RootSystem, Weight, is_integer, pair, weight_flags
 from .weylgroup import WeylGroup
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "kl_classical_relation_check",
     "recompute_cosets",
     "model_order_reflection_chains",
+    "root_images",
 ]
 
 SUBWORD_LENGTH_CAP = 12
@@ -69,6 +71,25 @@ class OracleReport:
             },
             indent=2,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _simple_reflection_images(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(rs.reflect(i, r) for r in range(rs.n_roots)) for i in range(rs.rank)
+    )
+
+
+def root_images(group: WeylGroup, w: int) -> tuple[int, ...]:
+    """w as a permutation of the root list: entry r is the index of
+    w(roots[r]), composed from the simple reflections along w's word.  The
+    oracle's own reference, independent of the group's keys."""
+    simple = _simple_reflection_images(group.rs)
+    images = tuple(range(group.rs.n_roots))
+    # (v s_i)(r) = v(s_i(r))
+    for i in group.elements[w].word:
+        images = tuple(images[x] for x in simple[i])
+    return images
 
 
 def bruhat_subword(group: WeylGroup, v: int, w: int) -> bool:
@@ -187,13 +208,8 @@ def model_order_reflection_chains(group: WeylGroup, idata: IntegralData):
     """Order on W_lambda by chains of reflections of Sigma_lambda^+ that
     decrease ell_lambda; returns the set of pairs (x, y) with x <= y."""
     members = sorted(idata.w_lambda_ids)
-    p = group.rs.positive_root_count
     ell = {
-        w: sum(
-            1
-            for r in idata.sigma_lambda_pos
-            if group.elements[w].images[r] >= p
-        )
+        w: len(_sigma_u_plus(group, w) & set(idata.sigma_lambda_pos))
         for w in members
     }
     reflections = [group.reflection(r) for r in idata.sigma_lambda_pos]
@@ -256,7 +272,7 @@ def recompute_cosets(
     longest_set = set()
     shortest_set = set()
     for w in range(group.size):
-        inv_images = group.elements[group.inverse[w]].images
+        inv_images = root_images(group, group.inverse[w])
         if all(inv_images[i] >= p for i in theta):
             longest_set.add(w)
         if all(inv_images[i] < p for i in theta):
@@ -386,9 +402,8 @@ def recompute_cosets(
 
 def _sigma_u_plus(group: WeylGroup, u: int) -> frozenset[int]:
     p = group.rs.positive_root_count
-    return frozenset(
-        r for r in range(p) if group.elements[u].images[r] >= p
-    )
+    images = root_images(group, u)
+    return frozenset(r for r in range(p) if images[r] >= p)
 
 
 def _sigma_lambda_all(group: WeylGroup, lam) -> frozenset[int]:

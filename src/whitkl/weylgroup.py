@@ -3,14 +3,17 @@
 An element w is keyed by the integer vector w^-1 rho in simple-coroot
 values, which is injective because rho is regular.  One breadth-first pass
 over the keys, from the identity with ascending simple indices, assigns
-the ids and fills the right-multiplication table and each element's
-permutation of the root list; ids are stable across runs and usable in
-golden files.  Products and inverses walk words through that table.
+the ids and fills the right-multiplication table; ids are stable across
+runs and usable in golden files.  Products and inverses walk words through
+that table.  No root permutation is built: every root sign is read off the
+key by w(beta) > 0 iff <beta^vee, w^-1 rho> = ht((w beta)^vee) > 0, and
+the image of a root walks the word through the simple reflections.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .rootsystem import RootSystem, Weight, pair
@@ -23,7 +26,6 @@ GROUP_SIZE_CAP = 51840
 @dataclass(frozen=True)
 class WeylElt:
     id: int
-    images: tuple[int, ...]
     word: tuple[int, ...]
     length: int
 
@@ -53,12 +55,15 @@ def _simple_steps(cartan, stride: int):
 class WeylGroup:
     """Enumerated Weyl group with multiplication and Bruhat order.
 
-    The tables of the enumeration (elements, right_table, inverse and the
-    key of each element) are immutable after construction.  Two caches
-    fill lazily: the reflection table, which holds the element id of the
-    reflection in each root from its first use on, and the Bruhat memo.
-    Both only ever gain immutable entries (single list or dict
-    assignments), so concurrent readers always observe consistent values.
+    An element is its id, a reduced word and its length.  The tables of the
+    enumeration (elements, right_table, inverse and the keys) are immutable
+    after construction.  Two caches fill lazily: the reflection table,
+    which holds the element id of the reflection in each root from its
+    first use on, and the Bruhat memo.  Both only ever gain immutable
+    entries (single list or dict assignments), so concurrent readers always
+    observe consistent values.  The pipeline orders cosets by
+    ``ThetaCosets.leq``; ``bruhat_leq`` stays as the tests' reference and
+    for the benchmark's ``weylgroup.bruhat_leq_calls`` counter.
     """
 
     def __init__(self, rs: RootSystem):
@@ -73,13 +78,10 @@ class WeylGroup:
         rs = self.rs
         n = rs.rank
         step = _simple_steps(rs.cartan_matrix, 1)
-        simple_images = [
-            tuple(rs.reflect(i, r) for r in range(rs.n_roots)) for i in range(n)
-        ]
         rho = (1,) * n
         keys = [rho]  # keys[w] = w^-1 rho
         by_key = {rho: 0}
-        elements = [WeylElt(0, tuple(range(rs.n_roots)), (), 0)]
+        elements = [WeylElt(0, (), 0)]
         right_table = []
         # ids in BFS order: keys grows while it is walked
         for wid, key in enumerate(keys):
@@ -94,14 +96,13 @@ class WeylGroup:
                         raise ValueError(f"group size exceeds cap {GROUP_SIZE_CAP}")
                     by_key[child] = cid
                     keys.append(child)
-                    # (w s_i)(r) = w(s_i(r))
-                    images = tuple(w.images[x] for x in simple_images[i])
-                    elements.append(WeylElt(cid, images, w.word + (i,), w.length + 1))
+                    elements.append(WeylElt(cid, w.word + (i,), w.length + 1))
                 row.append(cid)
             right_table.append(row)
         self.elements = elements
         self.size = len(elements)
         self.right_table = right_table
+        self._keys = keys
         self._by_key = by_key
         self.simple_ids = list(right_table[0])
         inverse = []
@@ -127,12 +128,16 @@ class WeylGroup:
         return self.elements[w].length
 
     def act_on_root(self, w: int, root_index: int) -> int:
-        return self.elements[w].images[root_index]
+        """Index of w(roots[root_index]): w's word applied right to left."""
+        reflect = self.rs.reflect
+        for i in reversed(self.elements[w].word):
+            root_index = reflect(i, root_index)
+        return root_index
 
     def act_on_weight(self, w: int, lam: Weight) -> Weight:
         """Coordinates of w(lam): alpha_i^vee(w lam) = (w^-1 alpha_i)^vee(lam)."""
-        inv = self.elements[self.inverse[w]].images
-        coords = tuple(pair(self.rs, inv[i], lam) for i in range(self.rs.rank))
+        inv, rs = self.inverse[w], self.rs
+        coords = tuple(pair(rs, self.act_on_root(inv, i), lam) for i in range(rs.rank))
         return Weight(coords, lam.n_transcendentals)
 
     def weight_orbit(self, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
@@ -180,22 +185,31 @@ class WeylGroup:
 
     # -- descents and inversions -----------------------------------------
 
+    def positive_on(self, roots) -> list[int]:
+        """Ids w, ascending and so by length, with w(beta) > 0 for beta in roots."""
+        coroots = [self.rs.coroot_coords[r] for r in roots]
+        return [
+            w
+            for w, key in enumerate(self._keys)
+            if all(sum(map(operator.mul, c, key)) > 0 for c in coroots)
+        ]
+
     def descents_right(self, w: int) -> frozenset[int]:
-        images = self.elements[w].images
-        p = self.rs.positive_root_count
-        return frozenset(i for i in range(self.rs.rank) if images[i] >= p)
+        """{i : w s_i < w} = {i : w(alpha_i) < 0}: the negative key entries."""
+        return frozenset(i for i, x in enumerate(self._keys[w]) if x < 0)
 
     def inversion_set(self, w: int) -> frozenset[int]:
-        images = self.elements[w].images
-        p = self.rs.positive_root_count
-        return frozenset(r for r in range(p) if images[r] >= p)
+        key = self._keys[w]
+        positive = self.rs.coroot_coords[: self.rs.positive_root_count]
+        return frozenset(
+            r for r, c in enumerate(positive) if sum(map(operator.mul, c, key)) < 0
+        )
 
     def longest_element_of_parabolic(self, subset) -> int:
         w = 0
-        p = self.rs.positive_root_count
         while True:
             for i in sorted(subset):
-                if self.elements[w].images[i] < p:
+                if self._keys[w][i] > 0:
                     w = self.right_table[w][i]
                     break
             else:

@@ -31,7 +31,7 @@ from whitkl import (
 )
 from whitkl.cosetlab import CosetStep, _double_coset_rep, subgroup_bruhat
 from whitkl.heckemodule import delta, model_tag, restrict_lambda, t_alpha
-from whitkl.oracle import classical_kl, recompute_cosets
+from whitkl.oracle import classical_kl, recompute_cosets, root_images
 from whitkl.rootsystem import is_integer, pair, weight_flags
 
 from conftest import (
@@ -160,16 +160,13 @@ def _pi_of(group, lam):
 def _a_lambda_set(group, lam):
     p = group.rs.positive_root_count
     pos = _sigma_pos(group, lam)
-    return frozenset(
-        u
-        for u in range(group.size)
-        if all(group.elements[u].images[r] < p for r in pos)
-    )
+    images = (root_images(group, u) for u in range(group.size))
+    return frozenset(u for u, img in enumerate(images) if all(img[r] < p for r in pos))
 
 
 def _check_lemma_non_int_refl(group, lam, idata):
     rs = group.rs
-    act = lambda w, rset: frozenset(group.elements[w].images[r] for r in rset)
+    act = lambda w, rset: frozenset(map(root_images(group, w).__getitem__, rset))
     sigma = _sigma_all(group, lam)
     sigma_pos = _sigma_pos(group, lam)
     pi = _pi_of(group, lam)

@@ -18,7 +18,7 @@ from whitkl import (
 from whitkl import cosetlab
 from whitkl.cli import parse_lambda
 from whitkl.cosetlab import _double_coset_rep, subgroup_bruhat
-from whitkl.oracle import model_order_reflection_chains
+from whitkl.oracle import model_order_reflection_chains, root_images
 from whitkl.rootsystem import build_root_system, is_integer, pair
 from whitkl.weylgroup import WeylGroup
 
@@ -123,8 +123,8 @@ def test_coset_count_times_subgroup_size(a3):
 def test_representative_characterizations(a3, tc_g):
     p = a3.rs.positive_root_count
     for c in tc_g.cosets:
-        inv_long = a3.elements[a3.inverse[c.longest]].images
-        inv_short = a3.elements[a3.inverse[c.shortest]].images
+        inv_long = root_images(a3, a3.inverse[c.longest])
+        inv_short = root_images(a3, a3.inverse[c.shortest])
         for i in tc_g.theta:
             assert inv_long[i] >= p  # longest sends theta negative
             assert inv_short[i] < p  # shortest keeps theta positive
