@@ -41,15 +41,11 @@ from .klengine import (
     phi_transport,
 )
 from .laurent import LaurentPoly
-from .oracle import kl_classical_relation_check
 from .rootsystem import (
-    Classification,
-    Kind,
     RootSystem,
     Weight,
     WeightFlags,
     build_root_system,
-    classify,
     pair,
     weight_flags,
 )
@@ -59,13 +55,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterFormula",
-    "Classification",
     "CosetStep",
     "HeckeElt",
     "IntegralData",
     "IntegralModel",
     "KLTable",
-    "Kind",
     "LaurentPoly",
     "RootSystem",
     "SpaceMismatchError",
@@ -80,7 +74,6 @@ __all__ = [
     "build_models",
     "build_root_system",
     "build_theta_cosets",
-    "classify",
     "conjugate_model",
     "delta",
     "descent_chain",
@@ -89,7 +82,6 @@ __all__ = [
     "integral_data",
     "invert_multiplicities",
     "kl_basis_model",
-    "kl_classical_relation_check",
     "model_tag",
     "pair",
     "phi_direct",

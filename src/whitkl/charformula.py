@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cosetlab import StabilizerData
 from .klengine import KLTable, build_kl_table
-from .rootsystem import Weight, antidominance_witness, is_zero, pair
+from .rootsystem import Weight, require_antidominant
 from .weylgroup import WeylGroup
 
 __all__ = [
@@ -33,23 +33,6 @@ class CharacterFormula:
     rows: dict[int, tuple[tuple[int, int], ...]]
 
 
-def _require_antidominant(group: WeylGroup, lam: Weight, regular_needed: bool):
-    # singular weights are antidominant in the weak sense: no positive
-    # integer pairing on a positive root
-    witness = antidominance_witness(group.rs, lam, allow_zero=not regular_needed)
-    if witness is not None:
-        root, value = witness
-        raise ValueError(
-            f"lambda is not antidominant: coroot pairing {value} on root {root}"
-        )
-    if regular_needed:
-        for r in range(group.rs.positive_root_count):
-            if is_zero(pair(group.rs, r, lam)):
-                raise ValueError(
-                    f"lambda is not regular: coroot pairing 0 on root {r}"
-                )
-
-
 def _at_minus_one(kl: KLTable):
     """(C, D, P_{CD}(-1)) over kl.polys, in its order.
 
@@ -67,7 +50,7 @@ def _at_minus_one(kl: KLTable):
 
 def regular_formula(kl: KLTable) -> CharacterFormula:
     """Rows ch L(C) = sum_D P_{CD}(-1) ch M(D) over D in C's block."""
-    _require_antidominant(kl.group, kl.lam, regular_needed=True)
+    require_antidominant(kl.group.rs, kl.lam, allow_zero=False)
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     labels = tuple(range(kl.tc.n_cosets))
     entries_by_row: dict[int, list[tuple[int, int]]] = {c: [] for c in labels}
@@ -117,7 +100,8 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     """Rows indexed by stabilizer double-coset representatives; entries
     group the regular coefficients over (W_Theta, W^lambda)-cosets."""
     group = kl.group
-    _require_antidominant(group, kl.lam, regular_needed=False)
+    # singular weights are antidominant in the weak sense
+    require_antidominant(group.rs, kl.lam, allow_zero=True)
     tc = kl.tc
     w_theta = sorted(tc.w_theta_ids)
     w_stab = sorted(stab.w_stab_ids)
@@ -148,7 +132,7 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
 
 def verma_mode(group: WeylGroup, lam: Weight) -> CharacterFormula:
     """The full pipeline with empty Theta; labels are group elements."""
-    _require_antidominant(group, lam, regular_needed=True)
+    require_antidominant(group.rs, lam, allow_zero=False)
     return verma_formula(build_kl_table(group, (), lam))
 
 

@@ -34,12 +34,6 @@ from .charformula import (
 from .cosetlab import build_theta_cosets, stabilizer_data
 from .heckemodule import SpaceMismatchError
 from .klengine import build_kl_table, build_models, phi_direct
-from .oracle import (
-    OracleReport,
-    bruhat_subword,
-    kl_classical_relation_check,
-    recompute_cosets,
-)
 from .rootsystem import Weight, build_root_system, weight_flags
 from .weylgroup import enumerate_group
 
@@ -372,6 +366,14 @@ def run_characters(job, invert=False, verma=False):
 
 
 def run_verify(job):
+    # the oracle stays off the path of every other command
+    from .oracle import (
+        OracleReport,
+        bruhat_subword,
+        kl_classical_relation_check,
+        recompute_cosets,
+    )
+
     group = job.group
     report = OracleReport()
     scope = f"{job.rs.type_letter}{job.rs.rank}"
@@ -395,8 +397,6 @@ def run_verify(job):
     ok = True
     witness = None
     for v, w in pairs:
-        if len(group.elements[w].word) > 12:
-            continue
         if bruhat_subword(group, v, w) != order.leq(coset_of[v], coset_of[w]):
             ok = False
             witness = f"(v={v}, w={w})"
@@ -435,7 +435,9 @@ def run_verify(job):
 # ``sys.stdout.write``, in chunks, so that no format ever holds the whole
 # text of a large document.  The JSON writer flushes once its piece list
 # holds _CHUNK_PIECES pieces; the text and LaTeX writers once their lines
-# hold _CHUNK_CHARS characters.
+# hold _CHUNK_CHARS characters.  A document is built of dicts with str
+# keys, lists and tuples, and str, int, bool and None; the JSON writer
+# accepts nothing else.
 
 _CHUNK_PIECES = 4096
 _CHUNK_CHARS = 1 << 16
@@ -463,55 +465,13 @@ class _Lines:
             self.size = 0
 
 
-_INFINITY = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# JSON text of a scalar, by exact type (bool and NoneType have no subclasses)
+# JSON text of a scalar, by exact type
 _JSON_SCALARS = {
     str: encode_basestring,
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
-    float: _json_float,
 }
-
-
-def _json_scalar(value):
-    """JSON text of a str, int, float, bool or None, subclasses included;
-    None for any other value."""
-    enc = _JSON_SCALARS.get(type(value))
-    if enc is None:
-        for base in (str, int, float):  # json.encoder's order of tests
-            if isinstance(value, base):
-                enc = _JSON_SCALARS[base]
-                break
-        else:
-            return None
-    return enc(value)
-
-
-def _json_key(key) -> str:
-    """Encoded object key and ": "; a non-str key is written as the text
-    of its JSON value, as json.encoder does."""
-    if not isinstance(key, str):
-        text = _json_scalar(key)
-        if text is None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, "
-                f"not {key.__class__.__name__}"
-            )
-        key = text
-    return encode_basestring(key) + ": "
 
 
 def _joined(render, *args) -> str:
@@ -524,6 +484,10 @@ def _joined(render, *args) -> str:
 def render_json(data, sink=None):
     """The text of ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
     newline, written directly.
+
+    It writes the values the CLI's documents hold: dicts with str keys;
+    lists and tuples, subclasses included; str, int, bool and None.  Any
+    other value, and any key that is not a str, raises TypeError.
 
     With a ``sink``, the text goes to it in chunks of about
     ``_CHUNK_PIECES`` pieces and None is returned; without one, the text
@@ -541,14 +505,13 @@ def render_json(data, sink=None):
     append = out.append
     limit = _CHUNK_PIECES
     scalars = _JSON_SCALARS
-    # encoded str keys; a key of another type is never equal to a str, and
-    # 1, 1.0 and True, equal as dict keys, encode differently
+    # encoded str keys; a key of another type is never equal to a str
     key_text: dict[str, str] = {}
 
     def key(k) -> str:
-        text = _json_key(k)
-        if type(k) is str:
-            key_text[k] = text
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        text = key_text[k] = encode_basestring(k) + ": "
         return text
 
     def flush() -> None:
@@ -606,15 +569,9 @@ def render_json(data, sink=None):
                 lead = sep
             append(nl + "}")
         else:
-            # a subclass of a scalar type (no type subclasses both a
-            # container and a scalar), or not a JSON value
-            text = _json_scalar(value)
-            if text is None:
-                raise TypeError(
-                    f"Object of type {value.__class__.__name__} "
-                    f"is not JSON serializable"
-                )
-            append(text)
+            raise TypeError(
+                f"Object of type {value.__class__.__name__} is not JSON serializable"
+            )
 
     write(data, "\n")
     append("\n")
@@ -782,12 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=["text", "json", "latex"], default="text"
-    )
-    parser.add_argument(
-        "--seed-order",
-        choices=["fixed"],
-        default="fixed",
-        help="ordering of all enumerations (only fixed is supported)",
     )
     parser.add_argument("--max-rank", type=int, default=6)
     sub = parser.add_subparsers(dest="command", required=True)

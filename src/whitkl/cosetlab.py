@@ -22,10 +22,10 @@ from fractions import Fraction
 from .rootsystem import (
     RootSystem,
     Weight,
-    antidominance_witness,
     is_integer,
     is_zero,
     pair,
+    require_antidominant,
 )
 from .weylgroup import WeylGroup
 
@@ -351,10 +351,10 @@ class IntegralSystem:
     def __init__(self, group: WeylGroup, idata: "IntegralData"):
         self.group = group
         self.members = sorted(idata.w_lambda_ids)
-        self.steps = {
-            r: {w: group.mult(w, group.reflection(r)) for w in self.members}
-            for r in idata.pi_lambda
-        }
+        self.steps = {}
+        for r in idata.pi_lambda:
+            s_r = group.reflection(r)
+            self.steps[r] = {w: group.mult(w, s_r) for w in self.members}
         # ell_lambda is the length of (W_lambda, Pi_lambda): the distance
         # from e over the right steps by the reflections of Pi_lambda
         self.lengths = lengths = {0: 0}
@@ -579,12 +579,7 @@ def stabilizer_data(group: WeylGroup, theta, lam: Weight) -> StabilizerData:
     pairing), which is the one compatible with singular weights.
     """
     rs = group.rs
-    witness = antidominance_witness(rs, lam, allow_zero=True)
-    if witness is not None:
-        root, value = witness
-        raise ValueError(
-            f"lambda is not antidominant: coroot pairing {value} on root {root}"
-        )
+    require_antidominant(rs, lam, allow_zero=True)
     _, rows = group.weight_orbit(lam)
     stab = frozenset(w for w, row in enumerate(rows) if row == rows[0])
     zero_pos = [

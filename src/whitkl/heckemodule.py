@@ -67,9 +67,6 @@ class HeckeElt:
     def coeff(self, cid: int) -> LaurentPoly:
         return self.coeffs.get(cid, LaurentPoly.zero())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
     def _check(self, other: "HeckeElt"):
         if self.tag is not other.tag and self.tag != other.tag:
             raise SpaceMismatchError(

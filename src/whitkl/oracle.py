@@ -4,21 +4,21 @@ recomputation of cosets, cross-sections and integral models.
 
 Everything here deliberately avoids the production code paths (descent
 recursions, lifting-property order, orbit-closure cosets) so that a shared
-bug cannot hide.  The KL engine does not import this module; only
+bug cannot hide.  Neither the package nor the pipeline imports this
+module, and the CLI loads it only for `verify`; only
 `kl_classical_relation_check` calls the engine, to compare its output
 with `classical_kl`.  Speed is a non-goal.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
 from .cosetlab import IntegralData, ThetaCosets
 from .klengine import build_kl_table
 from .laurent import LaurentPoly
-from .rootsystem import RootSystem, Weight, is_integer, pair, weight_flags
+from .rootsystem import Weight, is_integer, pair, weight_flags
 from .weylgroup import WeylGroup
 
 __all__ = [
@@ -73,18 +73,12 @@ class OracleReport:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _simple_reflection_images(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(rs.reflect(i, r) for r in range(rs.n_roots)) for i in range(rs.rank)
-    )
-
-
 def root_images(group: WeylGroup, w: int) -> tuple[int, ...]:
     """w as a permutation of the root list: entry r is the index of
-    w(roots[r]), composed from the simple reflections along w's word.  The
-    oracle's own reference, independent of the group's keys."""
-    simple = _simple_reflection_images(group.rs)
+    w(roots[r]), composed from the tables ``rs.simple_reflections`` along
+    w's word.  The oracle's own reference, independent of the group's
+    keys."""
+    simple = group.rs.simple_reflections
     images = tuple(range(group.rs.n_roots))
     # (v s_i)(r) = v(s_i(r))
     for i in group.elements[w].word:

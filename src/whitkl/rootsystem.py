@@ -1,46 +1,35 @@
 """Crystallographic root systems and exact weights.
 
-Roots are integer vectors in the simple-root basis.  Weights live in
+Roots are integer vectors in the simple-root basis, and each simple
+reflection is one table of root indices.  Weights live in
 "simple-coroot-value" coordinates: a weight is the tuple of values
 ``alpha_i^vee(lambda)``, each an exact rational plus a rational vector of
 coefficients of finitely many formal transcendentals ``t_1, ..., t_k``.
-All integrality, regularity and dominance questions reduce to evaluating
-coroots against these coordinates, which stays exact.
+A coroot is evaluated against these coordinates exactly, and the program
+reads only whether the value is an integer and, if so, its sign: that
+gives integrality, regularity and antidominance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 __all__ = [
     "RootSystem",
     "Weight",
-    "Kind",
-    "Classification",
     "WeightFlags",
     "build_root_system",
     "pair",
-    "classify",
+    "is_integer",
+    "is_zero",
     "weight_flags",
+    "require_antidominant",
 ]
 
 MAX_RANK = 6
 
 Value = tuple[Fraction, tuple[Fraction, ...]]
-
-
-class Kind(Enum):
-    INTEGER = "integer"
-    RATIONAL_NON_INTEGER = "rational-non-integer"
-    IRRATIONAL = "irrational"
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: Kind
-    integer: int | None = None
 
 
 @dataclass(frozen=True)
@@ -111,6 +100,7 @@ class RootSystem:
     ``roots[:rank]`` are the simple roots in Cartan order; the remaining
     positive roots follow sorted by (height, coordinates); the negative of
     ``roots[i]`` sits at index ``i + positive_root_count``.
+    ``simple_reflections[i][r]`` is the index of s_i(roots[r]).
     """
 
     def __init__(self, type_letter: str, rank: int, cartan_matrix):
@@ -131,6 +121,13 @@ class RootSystem:
         self.roots = tuple(pos_roots + [tuple(-c for c in r) for r in pos_roots])
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.coroot_coords = tuple(coroot_of[r] for r in self.roots)
+        self.simple_reflections = tuple(
+            tuple(
+                self.root_index[_reflect(self.cartan_matrix, i, r)]
+                for r in self.roots
+            )
+            for i in range(rank)
+        )
 
     @property
     def n_roots(self) -> int:
@@ -151,11 +148,7 @@ class RootSystem:
 
     def reflect(self, simple_index: int, root_index: int) -> int:
         """Index of s_i(roots[root_index])."""
-        r = self.roots[root_index]
-        p = sum(self.cartan_matrix[simple_index][m] * r[m] for m in range(self.rank))
-        image = list(r)
-        image[simple_index] -= p
-        return self.root_index[tuple(image)]
+        return self.simple_reflections[simple_index][root_index]
 
     def __repr__(self):
         return f"RootSystem({self.type_letter}{self.rank}, {self.n_roots} roots)"
@@ -229,6 +222,13 @@ def build_root_system(type_letter: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank, cartan)
 
 
+def _reflect(cartan, i: int, r: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i(r) = r - alpha_i^vee(r) alpha_i, in the simple-root basis."""
+    image = list(r)
+    image[i] -= sum(cartan[i][m] * r[m] for m in range(len(cartan)))
+    return tuple(image)
+
+
 def _close_roots(cartan) -> dict:
     """Every root with its coroot, as {root: coroot} in the simple-root and
     simple-coroot bases, by closing the simple roots under the simple
@@ -242,9 +242,7 @@ def _close_roots(cartan) -> dict:
         r = queue.pop()
         d = coroot_of[r]
         for i in range(n):
-            image = list(r)
-            image[i] -= sum(cartan[i][m] * r[m] for m in range(n))
-            t = tuple(image)
+            t = _reflect(cartan, i, r)
             if t not in coroot_of:
                 dimage = list(d)
                 dimage[i] -= sum(d[k] * cartan[k][i] for k in range(n))
@@ -270,15 +268,6 @@ def pair(rs: RootSystem, root_index: int, lam: Weight) -> Value:
     return (rational, tuple(tvec))
 
 
-def classify(value: Value) -> Classification:
-    rational, tvec = value
-    if any(c != 0 for c in tvec):
-        return Classification(Kind.IRRATIONAL)
-    if rational.denominator == 1:
-        return Classification(Kind.INTEGER, int(rational))
-    return Classification(Kind.RATIONAL_NON_INTEGER)
-
-
 def is_integer(value: Value) -> bool:
     rational, tvec = value
     return rational.denominator == 1 and all(c == 0 for c in tvec)
@@ -290,30 +279,34 @@ def is_zero(value: Value) -> bool:
 
 
 def weight_flags(rs: RootSystem, lam: Weight) -> WeightFlags:
+    """Antidominant: no positive root pairs to an integer >= 0.  Regular: no
+    root pairs to 0.  Integral: every root pairs to an integer."""
     antidominant = True
     regular = True
     integral = True
     for i in range(rs.positive_root_count):
         v = pair(rs, i, lam)
-        c = classify(v)
-        if c.kind is Kind.INTEGER and c.integer >= 0:
+        if not is_integer(v):
+            integral = False
+        elif v[0] >= 0:
             antidominant = False
         if is_zero(v):
             regular = False
-        if c.kind is not Kind.INTEGER:
-            integral = False
     return WeightFlags(antidominant, regular, integral)
 
 
-def antidominance_witness(rs: RootSystem, lam: Weight, allow_zero: bool = False):
-    """First positive root violating antidominance, with its value, or None.
+def require_antidominant(rs: RootSystem, lam: Weight, allow_zero: bool) -> None:
+    """Raise ValueError at the first positive root whose coroot pairs with
+    lam to a positive integer, or to 0 unless allow_zero.
 
-    With allow_zero, zero pairings are tolerated: that is the weaker sense
-    under which singular weights can still be antidominant.
+    With allow_zero, antidominance is meant in the weak sense under which
+    singular weights can still be antidominant.
     """
     bound = 0 if allow_zero else -1
     for i in range(rs.positive_root_count):
-        c = classify(pair(rs, i, lam))
-        if c.kind is Kind.INTEGER and c.integer > bound:
-            return i, c.integer
-    return None
+        v = pair(rs, i, lam)
+        if is_integer(v) and v[0] > bound:
+            raise ValueError(
+                f"lambda is not antidominant: coroot pairing {v[0].numerator} "
+                f"on root {i}"
+            )

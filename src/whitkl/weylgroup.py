@@ -57,19 +57,15 @@ class WeylGroup:
 
     An element is its id, a reduced word and its length.  The tables of the
     enumeration (elements, right_table, inverse and the keys) are immutable
-    after construction.  Two caches fill lazily: the reflection table,
-    which holds the element id of the reflection in each root from its
-    first use on, and the Bruhat memo.  Both only ever gain immutable
-    entries (single list or dict assignments), so concurrent readers always
-    observe consistent values.  The pipeline orders cosets by
-    ``ThetaCosets.leq``; ``bruhat_leq`` stays as the tests' reference and
-    for the benchmark's ``weylgroup.bruhat_leq_calls`` counter.
+    after construction; only the Bruhat memo fills lazily.  The pipeline
+    orders cosets by ``ThetaCosets.leq``; ``bruhat_leq`` stays as the
+    tests' reference and for the benchmark's
+    ``weylgroup.bruhat_leq_calls`` counter.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._enumerate()
-        self._reflections: list[int | None] = [None] * rs.n_roots
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
 
     # -- enumeration ---------------------------------------------------
@@ -129,9 +125,9 @@ class WeylGroup:
 
     def act_on_root(self, w: int, root_index: int) -> int:
         """Index of w(roots[root_index]): w's word applied right to left."""
-        reflect = self.rs.reflect
+        reflections = self.rs.simple_reflections
         for i in reversed(self.elements[w].word):
-            root_index = reflect(i, root_index)
+            root_index = reflections[i][root_index]
         return root_index
 
     def act_on_weight(self, w: int, lam: Weight) -> Weight:
@@ -169,19 +165,16 @@ class WeylGroup:
 
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""
-        cached = self._reflections[root_index]
-        if cached is None:
-            # s_beta is its own inverse and s_beta rho = rho - <beta^vee, rho> beta,
-            # so alpha_j^vee(s_beta rho) = 1 - ht(beta^vee) * alpha_j^vee(beta)
-            rs = self.rs
-            beta = rs.roots[root_index]
-            height = sum(rs.coroot_coords[root_index])
-            key = tuple(
-                1 - height * sum(a * b for a, b in zip(row, beta))
-                for row in rs.cartan_matrix
-            )
-            cached = self._reflections[root_index] = self._by_key[key]
-        return cached
+        # s_beta is its own inverse and s_beta rho = rho - <beta^vee, rho> beta,
+        # so alpha_j^vee(s_beta rho) = 1 - ht(beta^vee) * alpha_j^vee(beta)
+        rs = self.rs
+        beta = rs.roots[root_index]
+        height = sum(rs.coroot_coords[root_index])
+        key = tuple(
+            1 - height * sum(a * b for a, b in zip(row, beta))
+            for row in rs.cartan_matrix
+        )
+        return self._by_key[key]
 
     # -- descents and inversions -----------------------------------------
 

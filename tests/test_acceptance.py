@@ -21,7 +21,6 @@ from whitkl import (
     conjugate_model,
     descent_chain,
     integral_data,
-    kl_classical_relation_check,
     phi_direct,
     regular_formula,
     singular_formula,
@@ -31,7 +30,12 @@ from whitkl import (
 )
 from whitkl.cosetlab import CosetStep, _double_coset_rep, subgroup_bruhat
 from whitkl.heckemodule import delta, model_tag, restrict_lambda, t_alpha
-from whitkl.oracle import classical_kl, recompute_cosets, root_images
+from whitkl.oracle import (
+    classical_kl,
+    kl_classical_relation_check,
+    recompute_cosets,
+    root_images,
+)
 from whitkl.rootsystem import is_integer, pair, weight_flags
 
 from conftest import (

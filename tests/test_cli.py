@@ -394,9 +394,6 @@ def test_render_json_matches_json_dumps_edge_cases():
     class Name(str):
         pass
 
-    class Count(int):
-        pass
-
     data = {
         "greek": "α+β, s_γ s_δ",
         "quotes": 'say "hi"',
@@ -408,16 +405,12 @@ def test_render_json_matches_json_dumps_edge_cases():
         "none": None,
         "bools": [True, False],
         "ints": [0, -1, -(10**30), 10**40],
-        "float": 1.5,
-        "floats": [0.1, -2.0, 1e300, float("inf"), float("-inf"), float("nan")],
         "tuple": (1, "two", (3, [4])),
         "mixed": [1, {"a": [2, {"b": None}]}, "c"],
-        "subclasses": [Name("n"), Count(7)],
-        "keys": {1: "int", 2.5: "float", None: "none", Name("κ"): Count(3)},
-        "bool_keys": {True: "t", False: "f"},
+        "keys": {Name("κ"): 3},
     }
     assert render_json(data) == _reference_json(data)
-    for value in [None, True, 0, -3, 2.25, "α", "", [], {}, (), [None], {"k": []}]:
+    for value in [None, True, 0, -3, "α", "", [], {}, (), [None], {"k": []}]:
         assert render_json(value) == _reference_json(value)
 
 
@@ -427,6 +420,36 @@ def test_render_json_rejects_what_json_dumps_rejects():
             _reference_json(bad)
         with pytest.raises(TypeError):
             render_json(bad)
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad, type_name",
+    [
+        (1.5, "float"),
+        ([float("nan")], "float"),
+        (2.25, "float"),
+        ([_Name("n")], "_Name"),
+        ({"k": _Count(7)}, "_Count"),
+        ({1: "int"}, "int"),
+        ({True: "t"}, "bool"),
+        ({None: "none"}, "NoneType"),
+        ({2.5: "float"}, "float"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else repr(x),
+)
+def test_render_json_rejects_values_no_document_holds(bad, type_name):
+    # json.dumps writes these; no CLI document holds them
+    _reference_json(bad)
+    with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
+        render_json(bad)
 
 
 def test_characters_verma_builds_one_table(capsys, monkeypatch):
@@ -562,3 +585,12 @@ def test_closed_pipe_exits_quietly(argv):
     assert proc.wait(timeout=60) == 0, err
     assert len(head) == 100
     assert err == b""
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # only ``verify`` loads the oracle
+    src = str(Path(whitkl.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, whitkl, whitkl.cli; assert 'whitkl.oracle' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

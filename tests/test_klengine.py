@@ -11,13 +11,13 @@ from whitkl import (
     build_theta_cosets,
     integral_data,
     kl_basis_model,
-    kl_classical_relation_check,
     phi_direct,
     t_alpha_model,
 )
 from whitkl.cosetlab import CosetStep
 from whitkl.heckemodule import HeckeElt, delta, model_tag
 from whitkl.klengine import _subtract_mu
+from whitkl.oracle import kl_classical_relation_check
 
 from conftest import check_structural_invariants, get_group, lambda_golden_a3
 

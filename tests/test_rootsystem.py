@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 
 from whitkl import (
-    Kind,
     Weight,
     build_root_system,
-    classify,
     pair,
     weight_flags,
 )
-from whitkl.rootsystem import is_integer
+from whitkl.rootsystem import is_integer, require_antidominant
 
-from conftest import get_group, lambda_golden_a3
+from conftest import get_group, lambda_golden_a3, weight_catalog
 
 
 def test_a1_has_two_roots():
@@ -99,18 +97,6 @@ def test_pair_rank_mismatch():
         pair(rs, 0, Weight.zero(2))
 
 
-def test_classify_examples():
-    assert classify((Fraction(-5), (Fraction(0),))) == classify(
-        (Fraction(-5), (Fraction(0),))
-    )
-    c = classify((Fraction(-5), (Fraction(0),)))
-    assert c.kind is Kind.INTEGER and c.integer == -5
-    assert classify((Fraction(-5), (Fraction(-4),))).kind is Kind.IRRATIONAL
-    assert (
-        classify((Fraction(1, 2), (Fraction(0),))).kind is Kind.RATIONAL_NON_INTEGER
-    )
-
-
 def test_weight_flags_examples():
     rs = build_root_system("A", 3)
     lam = lambda_golden_a3()
@@ -120,6 +106,58 @@ def test_weight_flags_examples():
     assert (flags.antidominant, flags.regular, flags.integral) == (True, True, True)
     flags = weight_flags(rs, Weight.zero(3))
     assert (flags.antidominant, flags.regular, flags.integral) == (False, False, True)
+
+
+@pytest.mark.parametrize(
+    "letter, rank",
+    [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+     ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)],
+)  # fmt: skip
+def test_weight_flags_match_per_root_brute_force(letter, rank):
+    rs = build_root_system(letter, rank)
+    for lam in weight_catalog(rank):
+        values = [pair(rs, r, lam) for r in range(rs.n_roots)]
+        integer = [v[0].denominator == 1 and not any(v[1]) for v in values]
+        positive = range(rs.positive_root_count)
+        flags = weight_flags(rs, lam)
+        assert flags.antidominant == all(
+            not integer[r] or values[r][0] < 0 for r in positive
+        )
+        assert flags.regular == all(v[0] != 0 or any(v[1]) for v in values)
+        assert flags.integral == all(integer)
+
+
+_A2_WEIGHTS = {
+    "zero": Weight.from_values([0, 0]),
+    "positive": Weight.from_values([1, -1]),
+    "non-integral": Weight.from_values([Fraction(-1, 2), -1]),
+    # t1, 2 - t1 and 2 on the three positive roots
+    "transcendental": Weight.from_values([(0, (1,)), (2, (-1,))]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, allow_zero, message",
+    [
+        ("zero", False, "coroot pairing 0 on root 0"),
+        ("zero", True, None),
+        ("positive", False, "coroot pairing 1 on root 0"),
+        ("positive", True, "coroot pairing 1 on root 0"),
+        ("non-integral", False, None),
+        ("non-integral", True, None),
+        ("transcendental", False, "coroot pairing 2 on root 2"),
+        ("transcendental", True, "coroot pairing 2 on root 2"),
+    ],
+)
+def test_require_antidominant_a2(name, allow_zero, message):
+    rs = build_root_system("A", 2)
+    lam = _A2_WEIGHTS[name]
+    if message is None:
+        require_antidominant(rs, lam, allow_zero)
+        return
+    with pytest.raises(ValueError) as info:
+        require_antidominant(rs, lam, allow_zero)
+    assert str(info.value) == f"lambda is not antidominant: {message}"
 
 
 def _random_weight(rng, rank, k=1):

@@ -333,6 +333,24 @@ def test_tables_match_root_image_reference(letter, rank):
     assert [g.reflection(r) for r in range(g.rs.n_roots)] == ref["reflections"]
 
 
+@pytest.mark.parametrize("letter, rank", REFERENCE_TYPES)
+def test_simple_reflection_tables_follow_the_cartan_matrix(letter, rank):
+    # act_on_root and oracle.root_images both read rs.simple_reflections,
+    # so the table is checked here on its own
+    rs = build_root_system(letter, rank)
+    a = rs.cartan_matrix
+    for i, row in enumerate(rs.simple_reflections):
+        assert len(row) == rs.n_roots
+        for r, root in enumerate(rs.roots):
+            # s_i(r) = r - <alpha_i^vee, r> alpha_i
+            coroot_value = sum(a[i][m] * root[m] for m in range(rank))
+            image = list(root)
+            image[i] -= coroot_value
+            assert row[r] == rs.roots.index(tuple(image)), (i, r)
+            assert row[row[r]] == r
+        assert rs.roots[row[i]] == tuple(-c for c in rs.roots[i])
+
+
 @pytest.mark.parametrize(
     "letter, rank, n_pairs",
     [("A", 3, None), ("B", 3, None), ("G", 2, None), ("F", 4, 2000), ("D", 5, 2000)],
