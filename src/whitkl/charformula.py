@@ -4,10 +4,19 @@ Characters are formal integer vectors over standard-module labels; rows
 come from evaluating Kazhdan-Lusztig polynomials at q = -1.  Regular mode
 is indexed by right cosets, singular mode by stabilizer double-coset
 representatives, Verma mode by group elements.
+
+The inverse of a regular formula, the multiplicities of irreducibles in
+standard modules, is computed on packed rows: each inverse row is one
+Python int whose balanced base-2^W digits are its entries, so each
+nonzero formula entry costs one big-int multiply-subtract.  A bound on
+each row's entries is checked before the row is decoded, and a bound of
+2^(W-1) or more reruns the elimination with W doubled; W starts at 16
+and has no upper limit.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .cosetlab import StabilizerData
@@ -62,23 +71,58 @@ def regular_formula(kl: KLTable) -> CharacterFormula:
     return CharacterFormula("regular", "coset", labels, rows)
 
 
+# bits per packed entry on the first attempt; every width is a multiple of 8
+_START_WIDTH = 16
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 def invert_multiplicities(cf: CharacterFormula) -> list[list[int]]:
     """Inverse of the unitriangular coefficient matrix, over Z.
 
     Row i of the result gives the multiplicities of irreducibles in the
-    standard module labeled cf.labels[i].
+    standard module labeled cf.labels[i].  The packed elimination widens
+    its digits until every row fits, so no input fails for the size of
+    its entries.
     """
     if cf.mode != "regular":
         raise ValueError("only regular-mode formulas can be inverted")
     n = len(cf.labels)
     index = {label: i for i, label in enumerate(cf.labels)}
-    # labels are sorted by coset length, so the coefficient matrix is lower
-    # unitriangular, and so is its inverse: row j of it is nonzero only in
-    # columns support[j].  Row i of the matrix is read from cf.rows.
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    support: list[list[int]] = []
+    inv = [[0] * n for _ in range(n)]
+    width = _START_WIDTH
+    while not _packed_inverse(cf, index, width, inv):
+        width *= 2
+    return inv
+
+
+def _packed_inverse(
+    cf: CharacterFormula, index: dict[int, int], width: int, inv: list[list[int]]
+) -> bool:
+    """Fill inv's rows, each computed as one Python int; return False if
+    an entry may not fit in width bits.
+
+    Labels are sorted by coset length, so the coefficient matrix is lower
+    unitriangular, and so is its inverse.  Entry k of an inverse row is
+    the balanced base-2^width digit k of its int, so row_i = e_i -
+    sum_j f_ij row_j costs one big-int multiply-subtract per nonzero f_ij
+    in cf.rows.  The ints are exact; decoding needs each digit of row i
+    below 2^(width-1) in absolute value, which holds when the bound
+    1 + sum_j |f_ij| max|inv_j|, read off the decoded rows j, does.  A row
+    is decoded by adding 2^(width-1) to every digit and reading its bytes
+    as unsigned fields: memoryview.cast up to 64 bits, int.from_bytes
+    above.
+    """
+    n = len(cf.labels)
+    half = 1 << (width - 1)
+    step = width // 8
+    fmt = _FORMATS.get(width)
+    # the digit 2^(width-1) in each of n fields; shifting keeps i + 1 of them
+    bias = half * ((1 << (width * n)) - 1) // ((1 << width) - 1)
+    packed: list[int] = []
+    peaks: list[int] = []
     for i, label in enumerate(cf.labels):
-        row = inv[i]
+        value = 1 << (width * i)
+        bound = 1
         diagonal = 0
         for target, f in cf.rows.get(label, ()):
             j = index[target]
@@ -87,13 +131,26 @@ def invert_multiplicities(cf: CharacterFormula) -> list[list[int]]:
             elif f:
                 if j > i:
                     raise AssertionError("coefficient matrix is not unitriangular")
-                inv_j = inv[j]
-                for k in support[j]:
-                    row[k] -= f * inv_j[k]
+                value -= f * packed[j]
+                bound += abs(f) * peaks[j]
         if diagonal != 1:
             raise AssertionError("coefficient matrix is not unitriangular")
-        support.append([k for k in range(i + 1) if row[k]])
-    return inv
+        if bound >= half:
+            return False
+        data = (value + (bias >> (width * (n - 1 - i)))).to_bytes(
+            (i + 1) * step, sys.byteorder
+        )
+        if fmt is None:
+            digits = [
+                int.from_bytes(data[k : k + step], sys.byteorder)
+                for k in range(0, len(data), step)
+            ]
+        else:
+            digits = memoryview(data).cast(fmt)
+        packed.append(value)
+        peaks.append(max(max(digits) - half, half - min(digits)))
+        inv[i][: i + 1] = [d - half for d in digits]
+    return True
 
 
 def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:

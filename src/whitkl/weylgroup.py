@@ -23,7 +23,7 @@ __all__ = ["WeylElt", "WeylGroup", "enumerate_group", "GROUP_SIZE_CAP"]
 GROUP_SIZE_CAP = 51840
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElt:
     id: int
     word: tuple[int, ...]

@@ -8,6 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct  # noqa: E402
+from whitkl import CharacterFormula, invert_multiplicities  # noqa: E402
 from whitkl.klengine import _decode, _digit_cap, _encode  # noqa: E402
 
 from conftest import get_group  # noqa: E402
@@ -68,3 +69,35 @@ def polys_in_zq(draw):
 @given(polys_in_zq())
 def test_packed_encode_then_decode_is_the_identity(poly):
     assert _decode(_encode(poly), _digit_cap()) == poly
+
+
+@st.composite
+def sparse_unitriangular(draw):
+    """A regular formula over distinct labels in random order (the order
+    of cf.labels), each row listing its diagonal 1 and some entries to
+    its left, zeros included, in shuffled order."""
+    labels = draw(st.lists(st.integers(-1000, 1000), max_size=12, unique=True))
+    rows = {}
+    for i, label in enumerate(labels):
+        left = draw(st.sets(st.integers(0, i - 1))) if i else set()
+        entries = [(label, 1)] + [
+            (labels[j], draw(st.integers(-300, 300))) for j in left
+        ]
+        rows[label] = tuple(draw(st.permutations(entries)))
+    return CharacterFormula("regular", "coset", tuple(labels), rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_unitriangular())
+def test_inverse_times_original_is_the_identity(cf):
+    n = len(cf.labels)
+    index = {label: i for i, label in enumerate(cf.labels)}
+    original = [[0] * n for _ in range(n)]
+    for label, entries in cf.rows.items():
+        for target, f in entries:
+            original[index[label]][index[target]] = f
+    inverse = invert_multiplicities(cf)
+    for i in range(n):
+        for j in range(n):
+            total = sum(inverse[i][k] * original[k][j] for k in range(n))
+            assert total == (1 if i == j else 0)
