@@ -10,13 +10,15 @@ standard modules, is computed on packed rows: each inverse row is one
 Python int whose balanced base-2^W digits are its entries, so each
 nonzero formula entry costs one big-int multiply-subtract.  A bound on
 each row's entries is checked before the row is decoded, and a bound of
-2^(W-1) or more reruns the elimination with W doubled; W starts at 16
-and has no upper limit.
+2^(W-1) or more doubles W: the rows already decoded are packed again at
+the new width and the elimination goes on from the failing row.  W
+starts at 16 and has no upper limit.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 
 from .cosetlab import StabilizerData
@@ -98,7 +100,8 @@ def invert_multiplicities(cf: CharacterFormula) -> list[list[int]]:
 def _packed_inverse(
     cf: CharacterFormula, index: dict[int, int], width: int, inv: list[list[int]]
 ) -> bool:
-    """Fill inv's rows, each computed as one Python int; return False if
+    """Fill inv's rows, each computed as one Python int, from the first
+    row not yet filled; return False, keeping the rows filled so far, if
     an entry may not fit in width bits.
 
     Labels are sorted by coset length, so the coefficient matrix is lower
@@ -110,7 +113,9 @@ def _packed_inverse(
     1 + sum_j |f_ij| max|inv_j|, read off the decoded rows j, does.  A row
     is decoded by adding 2^(width-1) to every digit and reading its bytes
     as unsigned fields: memoryview.cast up to 64 bits, int.from_bytes
-    above.
+    above.  A filled row (its diagonal entry, always 1, is set) is exact,
+    and is packed again at this width from its entries by the reverse
+    steps.
     """
     n = len(cf.labels)
     half = 1 << (width - 1)
@@ -120,7 +125,22 @@ def _packed_inverse(
     bias = half * ((1 << (width * n)) - 1) // ((1 << width) - 1)
     packed: list[int] = []
     peaks: list[int] = []
-    for i, label in enumerate(cf.labels):
+    start = 0
+    while start < n and inv[start][start]:
+        start += 1
+    for i in range(start):
+        entries = inv[i][: i + 1]
+        fields = [d + half for d in entries]
+        if fmt is None:
+            data = b"".join(d.to_bytes(step, sys.byteorder) for d in fields)
+        else:
+            data = array(fmt, fields).tobytes()
+        packed.append(
+            int.from_bytes(data, sys.byteorder) - (bias >> (width * (n - 1 - i)))
+        )
+        peaks.append(max(map(abs, entries)))
+    for i in range(start, n):
+        label = cf.labels[i]
         value = 1 << (width * i)
         bound = 1
         diagonal = 0

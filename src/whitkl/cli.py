@@ -5,10 +5,15 @@ text (default), json, latex.  All output is byte-stable for identical
 inputs: orderings are fixed everywhere and no randomness is involved.
 
 Output is streamed: the document is written to stdout in bounded chunks
-as it is rendered, never held whole.  Every error is found before the
-first byte is written, so a failing command prints nothing on stdout.  A
-reader that closes the pipe early (``whitkl ... | head``) ends the
-command quietly with its usual exit code.
+as it is rendered, never held whole.  Its long lists are not held either:
+the KL polynomials, and the entries of each character and multiplicity
+row, are row sequences (``_Rows``) that read the table, the formula and
+the inverse as they are iterated, and yield the same dicts each time.
+The JSON writer writes such a sequence's rows from one %-template per
+set of keys and indent, and each distinct string's JSON text is made once.
+Every error is found before the first byte is written, so a failing
+command prints nothing on stdout.  A reader that closes the pipe early
+(``whitkl ... | head``) ends the command quietly with its usual exit code.
 
 Exit codes: 0 ok, 1 input error, 2 verification failure, 3 internal error
 (a broken invariant, reported as one line on stderr).
@@ -22,6 +27,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring
 
 from . import laurent
@@ -295,12 +302,25 @@ def run_klpolys(job):
         "context": job.context(),
         "cosets": [_coset_entry(job.group, table.tc, c) for c in table.tc.cosets],
         "models": [_model_entry(job, m) for m in table.models],
-        "kl_polynomials": [
-            {"c": c, "d": d, "poly": poly.text()}
-            for (c, d), poly in sorted(table.polys.items())
-        ],
+        "kl_polynomials": _Rows(
+            ("c", "d", "poly"), partial(_kl_rows, table), len(table.polys)
+        ),
     }
     return data
+
+
+def _kl_rows(table):
+    """(C, D, text of P_CD) in the order of ``sorted(table.polys.items())``,
+    one coset's row at a time; each polynomial object's text is made once,
+    and the table keeps every object alive, so an id names one polynomial."""
+    texts: dict[int, str] = {}
+    phi = table.phi
+    for c in range(table.tc.n_cosets):
+        for d, poly in sorted(phi[c].coeffs.items()):
+            text = texts.get(id(poly))
+            if text is None:
+                text = texts[id(poly)] = poly.text()
+            yield c, d, text
 
 
 def run_characters(job, invert=False, verma=False):
@@ -317,14 +337,16 @@ def run_characters(job, invert=False, verma=False):
             stab = stabilizer_data(group, job.theta, job.lam)
             cf = singular_formula(table, stab)
 
-    names: dict[int, str] = {}
+    # each entry's label is the label of a row
+    cosets = table.tc.cosets if cf.label_kind == "coset" else None
+    names = {
+        x: elt_name(group, x if cosets is None else cosets[x].longest)
+        for x in cf.labels
+    }
 
-    def label(x: int) -> str:
-        name = names.get(x)
-        if name is None:
-            elt = table.tc.cosets[x].longest if cf.label_kind == "coset" else x
-            name = names[x] = elt_name(group, elt)
-        return name
+    def standard(entry):
+        d, coeff = entry
+        return names[d], d, coeff
 
     data = {
         "context": job.context(),
@@ -332,12 +354,13 @@ def run_characters(job, invert=False, verma=False):
         "models": [_model_entry(job, m) for m in table.models],
         "characters": [
             {
-                "irreducible": label(x),
+                "irreducible": names[x],
                 "irreducible_id": x,
-                "entries": [
-                    {"standard": label(d), "standard_id": d, "coeff": coeff}
-                    for d, coeff in cf.rows[x]
-                ],
+                "entries": _Rows(
+                    ("standard", "standard_id", "coeff"),
+                    partial(map, standard, cf.rows[x]),
+                    len(cf.rows[x]),
+                ),
             }
             for x in cf.labels
         ],
@@ -346,21 +369,25 @@ def run_characters(job, invert=False, verma=False):
         if cf.mode != "regular":
             raise InputError("--invert needs a regular-mode character formula")
         inverse = invert_multiplicities(cf)
+        labels = cf.labels
+        ordered = [names[x] for x in labels]
+
+        def irreducible(row):
+            """One value tuple per nonzero entry of an inverse row."""
+            for j, coeff in compress(enumerate(row), row):
+                yield ordered[j], labels[j], coeff
+
         data["multiplicities"] = [
             {
-                "standard": label(cf.labels[i]),
-                "standard_id": cf.labels[i],
-                "entries": [
-                    {
-                        "irreducible": label(cf.labels[j]),
-                        "irreducible_id": cf.labels[j],
-                        "coeff": inverse[i][j],
-                    }
-                    for j in range(len(cf.labels))
-                    if inverse[i][j]
-                ],
+                "standard": ordered[i],
+                "standard_id": labels[i],
+                "entries": _Rows(
+                    ("irreducible", "irreducible_id", "coeff"),
+                    partial(irreducible, row),
+                    len(row) - row.count(0),
+                ),
             }
-            for i in range(len(cf.labels))
+            for i, row in enumerate(inverse)
         ]
     return data
 
@@ -437,10 +464,35 @@ def run_verify(job):
 # holds _CHUNK_PIECES pieces; the text and LaTeX writers once their lines
 # hold _CHUNK_CHARS characters.  A document is built of dicts with str
 # keys, lists and tuples, and str, int, bool and None; the JSON writer
-# accepts nothing else.
+# accepts nothing else.  Its long lists are _Rows, made as they are read.
 
-_CHUNK_PIECES = 4096
+_CHUNK_PIECES = 2048
 _CHUNK_CHARS = 1 << 16
+
+
+class _Rows(list):
+    """A list of flat dicts with the keys ``fields``, made each time it is
+    iterated and never held: ``rows()`` gives a fresh iterator of value
+    tuples, one per dict, in the order of ``fields``.
+
+    The list itself stays empty; it is a list so that ``render_json`` and
+    ``json.dumps`` write it as one.  It is only ever iterated, never
+    indexed or compared.
+    """
+
+    __slots__ = ("fields", "rows", "length")
+
+    def __init__(self, fields: tuple[str, ...], rows, length: int):
+        self.fields = fields
+        self.rows = rows
+        self.length = length
+
+    def __iter__(self):
+        fields = self.fields
+        return (dict(zip(fields, row)) for row in self.rows())
+
+    def __len__(self):
+        return self.length
 
 
 class _Lines:
@@ -497,7 +549,10 @@ def render_json(data, sink=None):
     pure-Python one spends most of a large document's time in generators.
     This writer appends to one list, encodes each distinct string key once,
     and writes a list or object whose values are all scalars with a single
-    join.
+    join.  A ``_Rows`` list is written a batch of rows at a time: a batch
+    whose values are all exact ints and strs goes through the one
+    %-template of its keys and indent, with each distinct value's JSON
+    text made once per render; any other batch takes the walk above.
     """
     if sink is None:
         return _joined(render_json, data)
@@ -528,6 +583,13 @@ def render_json(data, sink=None):
                 return
             inner = nl + "  "
             sep = "," + inner
+            if type(value) is _Rows:
+                write_rows(value, inner)
+                append(nl + "]")
+                return
+            if set(map(type, value)) == {int}:
+                append("[" + inner + sep.join(map(int.__repr__, value)) + nl + "]")
+                return
             parts = []
             for v in value:
                 enc = scalars.get(type(v))
@@ -573,9 +635,47 @@ def render_json(data, sink=None):
                 f"Object of type {value.__class__.__name__} is not JSON serializable"
             )
 
+    # JSON text of an exact str or int, made once per distinct value
+    text = _Texts().__getitem__
+    forms: dict[tuple, str] = {}  # (keys, indent) -> one row's %-template
+
+    def write_rows(rows: _Rows, inner: str) -> None:
+        fields = rows.fields
+        form = forms.get((fields, inner))
+        if form is None:
+            nl = inner + "  "
+            keys = [(key_text.get(k) or key(k)).replace("%", "%%") for k in fields]
+            body = ("," + nl).join(k + "%s" for k in keys)
+            form = "{" + nl + body + inner + "}" if keys else "{}"
+            forms[fields, inner] = form
+        lead, sep = "[" + inner, "," + inner
+        tail = sep + form
+        it = rows.rows()
+        while batch := list(islice(it, limit)):
+            # exact ints and strs only: a bool would find the text of 0 or 1
+            if set(map(type, chain.from_iterable(batch))) <= {int, str}:
+                append(lead + form % tuple(map(text, batch[0])))
+                out.extend([tail % tuple(map(text, row)) for row in batch[1:]])
+            else:
+                for row in batch:
+                    append(lead)
+                    write(dict(zip(fields, row)), inner)
+                    lead = sep
+            lead = sep
+            if len(out) >= limit:
+                flush()
+
     write(data, "\n")
     append("\n")
     flush()
+
+
+class _Texts(dict):
+    """JSON text of exact str and int values, each made on first use."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _JSON_SCALARS[type(value)](value)
+        return text
 
 
 def parse_output(text: str) -> dict:

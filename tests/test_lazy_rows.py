@@ -1,0 +1,126 @@
+"""The documents' long lists are made as they are read: their order, their
+re-iteration, the JSON writer's row templates, and what they hold."""
+
+import gc
+import json
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from whitkl import Weight, build_kl_table
+from whitkl.cli import Job, _Rows, render_json, run_characters, run_klpolys
+
+from conftest import get_group, lambda_golden_a3
+
+
+def _reference_json(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+KL_CASES = {
+    "A3-golden": ("A", 3, (0, 1), lambda_golden_a3()),
+    "B4-theta-empty-minus-rho": ("B", 4, (), Weight.minus_rho(4)),
+    "B3-non-integral": (
+        "B",
+        3,
+        (),
+        Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KL_CASES))
+def test_kl_polynomials_follow_the_sorted_table(case):
+    letter, rank, theta, lam = KL_CASES[case]
+    rows = run_klpolys(Job(letter, rank, theta, lam))["kl_polynomials"]
+    table = build_kl_table(get_group(letter, rank), theta, lam)
+    expected = [(c, d, poly.text()) for (c, d), poly in sorted(table.polys.items())]
+    assert [(e["c"], e["d"], e["poly"]) for e in rows] == expected
+    assert len(rows) == len(expected)
+
+
+def test_documents_iterate_twice_to_equal_lists():
+    job = Job("A", 3, (0, 1), Weight.minus_rho(3))
+    klpolys = run_klpolys(job)["kl_polynomials"]
+    characters = run_characters(job, invert=True)
+    sequences = [klpolys]
+    for section in ("characters", "multiplicities"):
+        sequences.extend(row["entries"] for row in characters[section])
+    assert any(len(rows) for rows in sequences[1:])
+    for rows in sequences:
+        first = list(rows)
+        assert first == list(rows)
+        assert len(first) == len(rows)
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def _rows(*values):
+    return _Rows(("a", "b"), lambda: iter(values), len(values))
+
+
+def test_rows_of_bools_among_ints_match_json_dumps():
+    # a bool must find neither a "%d" nor the cached text of 0 or 1, also
+    # after whole batches of ints have filled that cache
+    mixed = [(1, "x"), (True, "x"), (0, "x"), (False, "y"), (1, "y")]
+    doc = {
+        "rows": _rows(*mixed),
+        "long": _rows(*[(1, "x"), (0, "y")] * 3000, *mixed),
+        "none": _rows((0, None), (True, None)),
+    }
+    text = render_json(doc)
+    assert text == _reference_json(doc)
+    assert '"a": true' in text and '"a": false' in text
+
+
+def test_rows_of_one_shape_and_empty_rows_match_json_dumps():
+    percent_keys = _Rows(("%s", "b%"), lambda: iter([(1, "%d")]), 1)
+    doc = [
+        _rows(),
+        _rows(("%s", "%d")),
+        _rows((3, "α"), (-(10**30), "α")),
+        {"nested": [percent_keys, _Rows((), lambda: iter([(), ()]), 2)]},
+    ]
+    assert render_json(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize(
+    "value, type_name",
+    [(1.5, "float"), (_Name("n"), "_Name"), (_Count(7), "_Count")],
+)
+def test_rows_holding_other_types_raise_as_the_generic_walk(value, type_name):
+    doc = [_rows((1, "ok"), (value, "ok"))]
+    with pytest.raises(TypeError, match=rf"\b{type_name}\b") as lazy:
+        render_json(doc)
+    with pytest.raises(TypeError) as walked:
+        render_json([[{"a": 1, "b": "ok"}, {"a": value, "b": "ok"}]])
+    assert str(lazy.value) == str(walked.value)
+
+
+def test_int_lists_written_in_one_join_match_json_dumps():
+    doc = [[0, -1, 10**40], [1, True, 2], [3, "4"], (5, 6), [[7], 8]]
+    assert render_json(doc) == _reference_json(doc)
+    with pytest.raises(TypeError, match=r"\b_Count\b"):
+        render_json([1, _Count(2)])
+
+
+def test_characters_document_holds_less_than_its_dicts():
+    job = Job("B", 4, (), Weight.minus_rho(4))
+    run_characters(job, invert=True)  # fills the group's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        data = run_characters(job, invert=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data["multiplicities"]) == 384
+    # one dict per entry held 18.1 MB (peak 21.7 MB); the rows hold 7.0 MB
+    assert held < 18 * 2**20 and peak < 18 * 2**20, (held, peak)

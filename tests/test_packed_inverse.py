@@ -108,3 +108,30 @@ def test_non_integral_inverse_stays_inside_each_model():
         for d in range(n):
             if inverse[c][d]:
                 assert model_of[c] == model_of[d]
+
+
+class _CountedRows(dict):
+    """cf.rows that counts the reads of each row, one per elimination."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = dict.fromkeys(rows, 0)
+
+    def get(self, label, default=None):
+        self.reads[label] += 1
+        return super().get(label, default)
+
+
+def test_widening_resumes_at_the_failing_row(monkeypatch):
+    cf = regular_formula(build_kl_table(get_group("B", 4), (), Weight.minus_rho(4)))
+    expected = invert_multiplicities(cf)
+    rows = _CountedRows(cf.rows)
+    counted = CharacterFormula(cf.mode, cf.label_kind, cf.labels, rows)
+    widths = _record_widths(monkeypatch)
+    monkeypatch.setattr(charformula, "_START_WIDTH", 8)
+    assert invert_multiplicities(counted) == expected
+    assert widths == [8, 16]
+    # the rows decoded at 8 bits are packed again, not eliminated again;
+    # only the row whose bound failed is eliminated twice
+    assert max(rows.reads.values()) == 2
+    assert list(rows.reads.values()).count(2) == 1
