@@ -12,12 +12,15 @@ identity; tags that are different objects are still compared by value.
 A model tag names the model's class, (Theta, Theta(u,lambda), lambda), not
 its u: the models of one class are one module, with one basis.
 
-Coefficients are combined with `LaurentPoly` arithmetic, whose results need
-no validation (see `laurent`); the public `HeckeElt(tag, coeffs)` drops
-zero coefficients, and the private `_trusted_elt` wraps a map that already
-has none (a relabelling of an element, a finished basis element).  An
-element only stores and combines its coefficients, so Path A's kernel in
-`klengine` also uses it over packed ints while it runs.
+`t_alpha`, `t_alpha_model` (both through `_apply_three_case`) and the
+`HeckeElt` operators combine coefficients with `LaurentPoly` arithmetic,
+whose results need no validation (see `laurent`); the public
+`HeckeElt(tag, coeffs)` drops zero coefficients, and the private
+`_trusted_elt` wraps a map that already has none (a relabelling of an
+element, a finished basis element).  An element only stores and combines
+its coefficients, so the KL paths in `klengine` also use it while they
+run, Path A over packed ints and Path B over coefficient tuples; each
+applies T in its own ring and calls no operator here.
 """
 
 from __future__ import annotations

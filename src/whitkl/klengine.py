@@ -22,23 +22,28 @@ is 0.  `_digit_cap` bounds every stored coefficient and every mu so that
 no digit of any intermediate overflows; a larger one raises
 AssertionError, so a width too small for a table fails and never yields
 wrong values.  At the end each distinct value is decoded to one
-`LaurentPoly`, and the table hands out `HeckeElt`s over those.  Path B
-stays on `LaurentPoly`: the paths share no polynomial arithmetic, so
-their agreement also checks the packing.
+`LaurentPoly`, and the table hands out `HeckeElt`s over those.
+
+Path B's recursion runs on coefficient tuples: a polynomial in Z[q] is
+the tuple of its coefficients of q^0, q^1, ..., without trailing zeros;
+q p is (0,) + p, and q^-1 p is p[1:] once p[0] == 0 is checked.  Its
+finished coefficients are interned by tuple, and each distinct one is
+decoded to one `LaurentPoly` at the end.  The paths share no polynomial
+arithmetic, so their agreement also checks the packing and the tuples.
 
 At an integral descent both paths apply one T-operator to a shorter
 basis element, getting xi, then subtract mu * basis(D) for every shorter
 D whose coefficient in xi has a nonzero constant term mu, longest D
-first.  `_subtract_mu` does this for both paths, on either ring.  It
-walks only xi's support, longest first and by id among equal lengths,
-with a heap that gains the cosets each subtraction brings into the
-support (du Cloux, "Computing Kazhdan-Lusztig polynomials for arbitrary
-Coxeter groups", Experiment. Math. 11, 2002).  A coset outside the
-support has no constant term, so the walk makes exactly the
-subtractions, in exactly the order, of a scan over every shorter coset.
-`_assert_kl_shape` checks both paths' results.  Path A applies T on
-packed ints itself, from a per-generator table of coset steps; Path B
-uses `heckemodule.t_alpha`.
+first.  `_subtract_mu` does this for both paths, given each ring's
+constant term and "subtract mu * b".  It walks only xi's support,
+longest first and by id among equal lengths, with a heap that gains the
+cosets each subtraction brings into the support (du Cloux, "Computing
+Kazhdan-Lusztig polynomials for arbitrary Coxeter groups", Experiment.
+Math. 11, 2002).  A coset outside the support has no constant term, so
+the walk makes exactly the subtractions, in exactly the order, of a scan
+over every shorter coset.  `_assert_kl_shape` checks both paths'
+results.  Each path applies T in its own ring from a per-generator table
+of coset steps, built once; Path B's relabelling reads the same tables.
 
 The two must agree everywhere; disagreement is the strongest available
 bug detector and is surfaced, never patched.
@@ -47,6 +52,7 @@ bug detector and is surfaced, never patched.
 from __future__ import annotations
 
 import heapq
+from operator import add, sub
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 
@@ -63,11 +69,8 @@ from .cosetlab import (
 from .heckemodule import (
     HeckeElt,
     _trusted_elt,
-    delta,
     global_tag,
     model_tag,
-    right_mult_simple,
-    t_alpha,
 )
 from .laurent import LaurentPoly
 from .rootsystem import Weight, is_integer, pair
@@ -223,6 +226,18 @@ def _to_global(tag, ind, elt: HeckeElt) -> HeckeElt:
     return _trusted_elt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
 
 
+class _StepTables(dict):
+    """generator s -> [tc.times_simple(C, s) for every coset C], each list
+    built on first use."""
+
+    def __init__(self, tc: ThetaCosets):
+        self.tc = tc
+
+    def __missing__(self, s):
+        table = self[s] = [self.tc.times_simple(c, s) for c in range(self.tc.n_cosets)]
+        return table
+
+
 def kl_basis_model(model: IntegralModel):
     """Kazhdan-Lusztig basis of one integral model.
 
@@ -313,7 +328,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     cap = _digit_cap()
     raise_ = CosetStep.RAISE
     fix = CosetStep.FIX
-    moves: dict = {}  # generator -> its (step, target) for every coset
+    steps = _StepTables(quotient)
 
     def constant(p: int) -> int:
         mu = p & mask
@@ -333,9 +348,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
             xi = _trusted_elt(tag, {0: 1})
         else:
             r, lower = quotient.descent(f)
-            move = moves.get(r)
-            if move is None:
-                move = moves[r] = [quotient.times_simple(c, r) for c in range(n)]
+            move = steps[r]
             out: dict[int, int] = {}
             for cid, p in packed[lower].coeffs.items():
                 step, target = move[cid]
@@ -353,7 +366,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
             xi = _subtract_mu(
                 xi, quotient.length(f), packed.__getitem__, quotient.length, constant
             )
-            _assert_kl_shape(xi, f, quotient.ideal(f), in_qzq)
+            _assert_kl_shape(xi, f, quotient.ideal(f), 1, in_qzq)
         xi.coeffs = {g: canon.setdefault(p, p) for g, p in xi.coeffs.items()}
         packed[f] = xi
     for p in canon:
@@ -369,8 +382,18 @@ def _constant_term(poly: LaurentPoly) -> int:
     return poly.coeff(0)
 
 
+def _submul(a, b, mu):
+    """a - mu * b, for `LaurentPoly` and for Path A's packed ints."""
+    return a - b * mu
+
+
 def _subtract_mu(
-    xi: HeckeElt, top_length: int, basis, length, constant=_constant_term
+    xi: HeckeElt,
+    top_length: int,
+    basis,
+    length,
+    constant=_constant_term,
+    submul=_submul,
 ) -> HeckeElt:
     """Clear the constant terms of xi below top_length.
 
@@ -380,16 +403,20 @@ def _subtract_mu(
     lower interval of D, so each subtraction only brings in cosets that
     come later in the walk; they are pushed as they appear.
 
-    The walk works on a copy of xi's coefficient map in either ring:
-    `LaurentPoly`, or Path A's packed ints with their own constant-term
-    function.
+    The walk works on a copy of xi's coefficient map in any ring, given
+    its constant-term function and its submul(a, b, mu) = a - mu * b,
+    where a = 0 stands for an absent coefficient: `LaurentPoly`, Path A's
+    packed ints or Path B's coefficient tuples.
     """
     coeffs = dict(xi.coeffs)
-    heap = [(-ell, d) for d in coeffs if (ell := length(d)) < top_length]
+    # D of length ell is keyed D - ell * 2**32, so the heap pops the longest
+    # first and the smallest id among equal lengths: coset ids are below
+    # the group-size cap, far below 2**32
+    heap = [d - (ell << 32) for d in coeffs if (ell := length(d)) < top_length]
     heapq.heapify(heap)
-    queued = {d for _, d in heap}
+    queued = set(coeffs)
     while heap:
-        _, d = heapq.heappop(heap)
+        d = heapq.heappop(heap) & 0xFFFFFFFF
         poly = coeffs.get(d)
         if poly is None:
             continue
@@ -397,24 +424,24 @@ def _subtract_mu(
         if not mu:
             continue
         for e, poly in basis(d).coeffs.items():
-            value = coeffs.get(e, 0) - poly * mu
+            value = submul(coeffs.get(e, 0), poly, mu)
             if value:
                 coeffs[e] = value
             else:
                 del coeffs[e]
-            if e not in queued and length(e) < top_length:
+            if e not in queued:
                 queued.add(e)
-                heapq.heappush(heap, (-length(e), e))
+                if (ell := length(e)) < top_length:
+                    heapq.heappush(heap, e - (ell << 32))
     return _trusted_elt(xi.tag, coeffs)
 
 
-def _assert_kl_shape(
-    elt: HeckeElt, top: int, ideal: int, in_qzq=LaurentPoly.in_qZq
-) -> None:
-    """elt's coefficient at top is 1, the others are in qZ[q] (in_qzq, for
-    either ring), and its support lies in ideal, top's lower ideal."""
+def _assert_kl_shape(elt: HeckeElt, top: int, ideal: int, one, in_qzq) -> None:
+    """elt's coefficient at top is one and the others pass in_qzq, both
+    given in the caller's ring, and its support lies in ideal, top's
+    lower ideal."""
     coeffs = elt.coeffs
-    if coeffs.get(top) != 1:
+    if coeffs.get(top) != one:
         raise AssertionError(f"leading coefficient at {top} is not 1")
     for cid, poly in coeffs.items():
         if not ideal >> cid & 1:
@@ -433,6 +460,65 @@ def phi_transport(tc: ThetaCosets, models, psi_by_u) -> dict[int, HeckeElt]:
     return phi
 
 
+# Path B's ring: a polynomial in Z[q] is the tuple of its coefficients of
+# q^0, q^1, ..., trimmed of trailing zeros, so 0 is ().
+
+
+def _trimmed(p: tuple) -> tuple:
+    """p without its trailing zeros."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _tuple_add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(b)
+    if len(a) == n:
+        return _trimmed(tuple(map(add, a, b)))
+    return (*map(add, a, b), *a[n:])
+
+
+def _tuple_submul(a, b: tuple, mu: int) -> tuple:
+    """a - mu * b for mu != 0 (the walk skips a zero mu), with a = 0
+    standing for () as `_subtract_mu` passes it."""
+    if mu != 1:
+        b = tuple([mu * y for y in b])
+    if not a:
+        return tuple([-y for y in b])
+    n = len(b)
+    if len(a) == n:
+        return _trimmed(tuple(map(sub, a, b)))
+    if len(a) < n:
+        a += (0,) * (n - len(a))
+    return (*map(sub, a, b), *a[n:])
+
+
+def _tuple_times_q(p: tuple) -> tuple:
+    return (0,) + p if p else p
+
+
+def _tuple_over_q(p: tuple) -> tuple:
+    """q^-1 p, for p in qZ[q]; a nonzero constant term raises
+    AssertionError."""
+    if p and p[0]:
+        raise AssertionError("q^-1 meets a constant term")
+    return p[1:]
+
+
+def _tuple_constant(p: tuple) -> int:
+    return p[0]
+
+
+def _tuple_in_qzq(p: tuple) -> bool:
+    return not p[0]
+
+
+def _tuple_decode(p: tuple) -> LaurentPoly:
+    return LaurentPoly({e: c for e, c in enumerate(p) if c})
+
+
 def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     """Path B: direct recursion on global cosets across weight moves.
 
@@ -444,15 +530,30 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     first sight, with its non-integral and integral simple roots, and each
     weight move (id, beta) -> id is computed once.  The memo is keyed on
     (weight id, coset).
+
+    The recursion runs on coefficient tuples (see `_tuple_add`), and reads
+    each generator's (step, target) for every coset from one table, built
+    once, for both the T-step and the relabelling.  Finished coefficients
+    are interned by tuple, and each distinct one met in the result is
+    decoded once to a `LaurentPoly`.
     """
     group = tc.group
     rs = group.rs
+    n = tc.n_cosets
     tag = global_tag(tc)
+    lengths = [tc.length(c) for c in range(n)]
+    length = lengths.__getitem__
+    fix = CosetStep.FIX
+    raise_ = CosetStep.RAISE
+    lower = CosetStep.LOWER
+    steps = _StepTables(tc)
     ids: dict[Weight, int] = {}
     weights: list[Weight] = []
     simples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     moves: dict[tuple[int, int], int] = {}
     memo: dict[tuple[int, int], HeckeElt] = {}
+    canon: dict[tuple, tuple] = {}
+    one = (1,)
 
     def intern(weight: Weight) -> int:
         wid = ids.get(weight)
@@ -477,40 +578,85 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             )
         return moved
 
+    def relabel(x: HeckeElt, beta: int) -> HeckeElt:
+        """x with each label C moved to C s_beta, a bijection."""
+        table = steps[beta]
+        out = {}
+        for cid, p in x.coeffs.items():
+            target = table[cid][1]
+            if target in out:
+                raise AssertionError(f"C -> C s_{beta} sends two cosets to {target}")
+            out[target] = p
+        return _trusted_elt(tag, out)
+
+    def t_step(x: HeckeElt, alpha: int) -> HeckeElt:
+        """T_alpha x: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
+        table = steps[alpha]
+        out: dict[int, tuple] = {}
+        for cid, p in x.coeffs.items():
+            step, target = table[cid]
+            if step is fix:
+                continue
+            if step is raise_:
+                shifted = _tuple_times_q(p)
+            else:
+                shifted = _tuple_over_q(p)
+            prev = out.get(cid)
+            out[cid] = shifted if prev is None else _tuple_add(prev, shifted)
+            prev = out.get(target)
+            out[target] = p if prev is None else _tuple_add(prev, p)
+        return _trusted_elt(tag, {c: p for c, p in out.items() if p})
+
     def compute(wid: int, c: int) -> HeckeElt:
         key = (wid, c)
         cached = memo.get(key)
         if cached is not None:
             return cached
         if c == 0:
-            result = delta(tag, 0)
-            memo[key] = result
+            result = memo[key] = _trusted_elt(tag, {0: one})
             return result
         nonintegral, integral = simples[wid]
         result = None
         for beta in nonintegral:
-            step, target = tc.times_simple(c, beta)
-            if step is CosetStep.LOWER:
-                moved = compute(move(wid, beta), target)
-                result = right_mult_simple(tc, moved, beta)
+            step, target = steps[beta][c]
+            if step is lower:
+                result = relabel(compute(move(wid, beta), target), beta)
                 break
         if result is None:
             for alpha in integral:
-                step, target = tc.times_simple(c, alpha)
-                if step is CosetStep.LOWER:
-                    xi = t_alpha(tc, alpha, compute(wid, target))
+                step, target = steps[alpha][c]
+                if step is lower:
+                    xi = t_step(compute(wid, target), alpha)
                     result = _subtract_mu(
-                        xi, tc.length(c), lambda d: compute(wid, d), tc.length
+                        xi,
+                        lengths[c],
+                        lambda d: compute(wid, d),
+                        length,
+                        _tuple_constant,
+                        _tuple_submul,
                     )
+                    result.coeffs = {
+                        d: canon.setdefault(p, p) for d, p in result.coeffs.items()
+                    }
                     break
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
-        _assert_kl_shape(result, c, tc.ideal(c))
+        _assert_kl_shape(result, c, tc.ideal(c), one, _tuple_in_qzq)
         memo[key] = result
         return result
 
     start = intern(lam)
-    return {c: compute(start, c) for c in range(tc.n_cosets)}
+    basis = [compute(start, c) for c in range(n)]
+    memo.clear()
+    store: dict[tuple, LaurentPoly] = {}
+    for elt in basis:
+        for p in elt.coeffs.values():
+            if p not in store:
+                store[p] = _tuple_decode(p)
+    return {
+        c: _trusted_elt(tag, {d: store[p] for d, p in elt.coeffs.items()})
+        for c, elt in enumerate(basis)
+    }
 
 
 def build_models(group: WeylGroup, theta, lam: Weight):

@@ -16,7 +16,12 @@ from whitkl import (
 )
 from whitkl.cosetlab import CosetStep
 from whitkl.heckemodule import HeckeElt, delta, model_tag
-from whitkl.klengine import _subtract_mu
+from whitkl.klengine import (
+    _subtract_mu,
+    _tuple_constant,
+    _tuple_decode,
+    _tuple_submul,
+)
 from whitkl.oracle import kl_classical_relation_check
 
 from conftest import check_structural_invariants, get_group, lambda_golden_a3
@@ -209,6 +214,48 @@ def test_subtract_mu_clears_support_it_brings_in():
     assert got == elt({5: ONE, 3: Q, 4: qinv, 0: Q * -2, 6: ONE * 5, 1: Q * -2})
     reference = _subtract_mu_full_scan(xi, lengths[5], basis, lengths)
     assert list(got.coeffs.items()) == list(reference.coeffs.items())
+
+
+def test_subtract_mu_on_path_b_tuples():
+    # the Z[q] part of the data above (coset 4's q^-1 dropped), as Path B's
+    # coefficient tuples of q^0, q^1, ...
+    lengths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
+    basis = {
+        0: HeckeElt("t", {0: (1,)}),
+        1: HeckeElt("t", {1: (1,), 0: (0, 1)}),
+        2: HeckeElt("t", {2: (1,), 0: (2,)}),
+        3: HeckeElt("t", {3: (1,), 2: (1,), 1: (0, 1), 0: (0, 1)}),
+        4: HeckeElt("t", {4: (1,), 1: (0, 1)}),
+        6: HeckeElt("t", {6: (1,), 0: (1,)}),
+    }
+    xi = HeckeElt("t", {5: (1,), 3: (2, 1), 0: (3,), 6: (5,)})
+    got = _subtract_mu(
+        xi,
+        lengths[5],
+        basis.__getitem__,
+        lengths.__getitem__,
+        _tuple_constant,
+        _tuple_submul,
+    )
+    assert got.coeffs == {5: (1,), 3: (0, 1), 0: (0, -2), 6: (5,), 1: (0, -2)}
+
+    def decoded(elt):
+        return HeckeElt("t", {c: _tuple_decode(p) for c, p in elt.coeffs.items()})
+
+    on_laurent = _subtract_mu(
+        decoded(xi), lengths[5], lambda d: decoded(basis[d]), lengths.__getitem__
+    )
+    assert list(decoded(got).coeffs.items()) == list(on_laurent.coeffs.items())
+
+
+def test_phi_direct_holds_one_object_per_distinct_polynomial():
+    lam = Weight.minus_rho(3)
+    table = build_kl_table(get_group("B", 3), (), lam)
+    phi = phi_direct(table.tc, lam)
+    assert phi == table.phi
+    values = [poly for elt in phi.values() for poly in elt.coeffs.values()]
+    assert len(values) > len(set(values)) > 1
+    assert len({id(poly) for poly in values}) == len(set(values))
 
 
 def _expand_in_basis(x, basis, lengths):

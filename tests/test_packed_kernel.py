@@ -3,7 +3,7 @@
 The encoding round-trips inside the digit cap (a property in
 `test_properties`), a width too small for a table's coefficients raises
 AssertionError (exit 3 from the CLI) instead of yielding wrong bytes, each distinct value is decoded once, and Path B,
-which stays on LaurentPoly, agrees with the kernel at rank 4.
+on coefficient tuples of its own, agrees with the kernel at rank 4.
 """
 
 from __future__ import annotations

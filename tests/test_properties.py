@@ -9,7 +9,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct  # noqa: E402
 from whitkl import CharacterFormula, invert_multiplicities  # noqa: E402
-from whitkl.klengine import _decode, _digit_cap, _encode  # noqa: E402
+from whitkl.klengine import (  # noqa: E402
+    _decode,
+    _digit_cap,
+    _encode,
+    _trimmed,
+    _tuple_add,
+    _tuple_decode,
+    _tuple_over_q,
+    _tuple_submul,
+    _tuple_times_q,
+)
 
 from conftest import get_group  # noqa: E402
 
@@ -69,6 +79,38 @@ def polys_in_zq(draw):
 @given(polys_in_zq())
 def test_packed_encode_then_decode_is_the_identity(poly):
     assert _decode(_encode(poly), _digit_cap()) == poly
+
+
+small_coeffs = st.lists(st.integers(-4, 4), max_size=8).map(tuple)
+
+
+def _is_trimmed(p):
+    return not p or p[-1] != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coeffs, small_coeffs, st.integers(-3, 3).filter(bool))
+def test_path_b_tuple_arithmetic_is_laurent_arithmetic(raw_a, raw_b, mu):
+    # raw tuples may end in zeros; _trimmed gives Path B's form of each
+    a, b = _trimmed(raw_a), _trimmed(raw_b)
+    pa, pb = _tuple_decode(a), _tuple_decode(b)
+    assert _is_trimmed(a) and pa == LaurentPoly(dict(enumerate(raw_a)))
+    results = {
+        _tuple_add(a, b): pa + pb,
+        _tuple_submul(a, b, mu): pa - pb * mu,
+        _tuple_times_q(a): pa.shift(1),
+    }
+    if not a:
+        # the walk passes 0 for a coefficient that is absent
+        results[_tuple_submul(0, b, mu)] = pb * -mu
+    for got, want in results.items():
+        assert _is_trimmed(got) and _tuple_decode(got) == want
+    if a and a[0]:
+        with pytest.raises(AssertionError):
+            _tuple_over_q(a)
+    else:
+        got = _tuple_over_q(a)
+        assert _is_trimmed(got) and _tuple_decode(got) == pa.shift(-1)
 
 
 @st.composite
