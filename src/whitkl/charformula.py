@@ -1,9 +1,11 @@
 """Character formulas for irreducible modules in terms of standard ones.
 
-Characters are formal integer vectors over standard-module labels; rows
-come from evaluating Kazhdan-Lusztig polynomials at q = -1.  Regular mode
-is indexed by right cosets, singular mode by stabilizer double-coset
-representatives, Verma mode by group elements.
+Characters are formal integer vectors over standard-module labels; each
+row comes from one pass over a row of the basis phi, evaluating its
+Kazhdan-Lusztig polynomials at q = -1.  Regular mode is indexed by right
+cosets, singular mode by stabilizer double-coset representatives, Verma
+mode by group elements: it is regular mode with empty Theta, each coset
+labelled by its one element.
 
 The inverse of a regular formula, the multiplicities of irreducibles in
 standard modules, is computed on packed rows: each inverse row is one
@@ -44,33 +46,37 @@ class CharacterFormula:
     rows: dict[int, tuple[tuple[int, int], ...]]
 
 
-def _at_minus_one(kl: KLTable):
-    """(C, D, P_{CD}(-1)) over kl.polys, in its order.
+def _at_minus_one(row: dict, values: dict[int, int]):
+    """(D, P_{CD}(-1)) over row, the coefficients of phi[C], in order.
 
-    Path A interns its polynomials, so each distinct value is one object
-    and is evaluated once; the table keeps every object alive, so an id
-    names one polynomial for the whole walk.
+    values memoizes P(-1) by the polynomial's id.  Path A interns its
+    polynomials, so each distinct value is one object and is evaluated
+    once; the table keeps every object alive, so an id names one
+    polynomial for as long as the table lives.
     """
-    values: dict[int, int] = {}
-    for (c, d), poly in kl.polys.items():
+    for d, poly in row.items():
         value = values.get(id(poly))
         if value is None:
             value = values[id(poly)] = poly.eval_minus_one()
-        yield c, d, value
+        yield d, value
+
+
+def _regular(kl: KLTable, label_kind: str, labels: list[int]) -> CharacterFormula:
+    """Rows ch L(C) = sum_D P_{CD}(-1) ch M(D) over D in C's block, coset
+    C labelled labels[C], from one read of each row of kl.phi.  A list
+    hands out one int object per label, however many entries name it."""
+    require_antidominant(kl.group.rs, kl.lam, allow_zero=False)
+    values: dict[int, int] = {}
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}
+    for c, label in enumerate(labels):
+        row = _at_minus_one(kl.phi[c].coeffs, values)
+        rows[label] = tuple(sorted((labels[d], value) for d, value in row if value))
+    return CharacterFormula("regular", label_kind, tuple(labels), rows)
 
 
 def regular_formula(kl: KLTable) -> CharacterFormula:
-    """Rows ch L(C) = sum_D P_{CD}(-1) ch M(D) over D in C's block."""
-    require_antidominant(kl.group.rs, kl.lam, allow_zero=False)
-    rows: dict[int, tuple[tuple[int, int], ...]] = {}
-    labels = tuple(range(kl.tc.n_cosets))
-    entries_by_row: dict[int, list[tuple[int, int]]] = {c: [] for c in labels}
-    for c, d, value in _at_minus_one(kl):
-        if value != 0:
-            entries_by_row[c].append((d, value))
-    for c in labels:
-        rows[c] = tuple(sorted(entries_by_row[c]))
-    return CharacterFormula("regular", "coset", labels, rows)
+    """Rows ch L(C) = sum_D P_{CD}(-1) ch M(D), labelled by coset."""
+    return _regular(kl, "coset", list(range(kl.tc.n_cosets)))
 
 
 # bits per packed entry on the first attempt; every width is a multiple of 8
@@ -191,16 +197,14 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     if len(rep_of_coset) != tc.n_cosets:
         raise AssertionError("stabilizer double cosets do not cover all cosets")
     labels = tuple(stab.a_theta_stab)
-    values_by_row: dict[int, list[tuple[int, int]]] = {}
-    for c, d, value in _at_minus_one(kl):
-        values_by_row.setdefault(c, []).append((d, value))
+    values: dict[int, int] = {}
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for v in labels:
         c = tc.coset_of[v]
         if tc.cosets[c].shortest != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
         acc: dict[int, int] = {}
-        for d, value in values_by_row.get(c, ()):
+        for d, value in _at_minus_one(kl.phi[c].coeffs, values):
             z = rep_of_coset[d]
             acc[z] = acc.get(z, 0) + value
         rows[v] = tuple(sorted((z, coeff) for z, coeff in acc.items() if coeff))
@@ -215,11 +219,4 @@ def verma_mode(group: WeylGroup, lam: Weight) -> CharacterFormula:
 
 def verma_formula(kl: KLTable) -> CharacterFormula:
     """The regular rows of a table with empty Theta, labelled by elements."""
-    cf = regular_formula(kl)
-    member = {c.id: c.member_ids[0] for c in kl.tc.cosets}
-    labels = tuple(member[c] for c in cf.labels)
-    rows = {
-        member[c]: tuple(sorted((member[d], coeff) for d, coeff in entries))
-        for c, entries in cf.rows.items()
-    }
-    return CharacterFormula("regular", "element", labels, rows)
+    return _regular(kl, "element", [c.member_ids[0] for c in kl.tc.cosets])

@@ -325,9 +325,12 @@ def _kl_rows(table):
 
 def run_characters(job, invert=False, verma=False):
     group = job.group
+    context = job.context()
     if verma:
         table = build_kl_table(group, (), job.lam)
         cf = verma_formula(table)
+        # report the empty theta that --verma used
+        context.update(theta=[], theta_indices=[])
     else:
         table = build_kl_table(group, job.theta, job.lam)
         flags = weight_flags(job.rs, job.lam)
@@ -349,7 +352,7 @@ def run_characters(job, invert=False, verma=False):
         return names[d], d, coeff
 
     data = {
-        "context": job.context(),
+        "context": context,
         "cosets": [_coset_entry(group, table.tc, c) for c in table.tc.cosets],
         "models": [_model_entry(job, m) for m in table.models],
         "characters": [
@@ -840,7 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["text", "json", "latex"], default="text"
     )
-    parser.add_argument("--max-rank", type=int, default=6)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
         "info": sub.add_parser(
@@ -887,8 +889,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_lambda_value(list(argv)))
     try:
         letter, rank = parse_type(args.type)
-        if rank > args.max_rank:
-            raise InputError(f"rank {rank} exceeds --max-rank {args.max_rank}")
+        # an invalid type is reported before theta and lambda are read
+        build_root_system(letter, rank)
         theta_probe = parse_theta(args.theta, rank)
         lam = parse_lambda(args.lam, rank) if args.lam is not None else None
         if args.command != "verify" and lam is None:

@@ -17,10 +17,7 @@ its u: the models of one class are one module, with one basis.
 whose results need no validation (see `laurent`); the public
 `HeckeElt(tag, coeffs)` drops zero coefficients, and the private
 `_trusted_elt` wraps a map that already has none (a relabelling of an
-element, a finished basis element).  An element only stores and combines
-its coefficients, so the KL paths in `klengine` also use it while they
-run, Path A over packed ints and Path B over coefficient tuples; each
-applies T in its own ring and calls no operator here.
+element, a finished basis element).
 """
 
 from __future__ import annotations

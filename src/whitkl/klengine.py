@@ -44,6 +44,8 @@ the walk makes exactly the subtractions, in exactly the order, of a scan
 over every shorter coset.  `_assert_kl_shape` checks both paths'
 results.  Each path applies T in its own ring from a per-generator table
 of coset steps, built once; Path B's relabelling reads the same tables.
+Both keep each row as a plain dict, coset -> packed int or tuple, and
+wrap only finished rows in `HeckeElt`s: psi's and `phi_direct`'s values.
 
 The two must agree everywhere; disagreement is the strongest available
 bug detector and is surfaced, never patched.
@@ -306,15 +308,16 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     """The basis recursion on the model's coset table, by coset id: ids
     ascend by length, and coset 0 is W_lambda's own.
 
-    The recursion runs on packed ints (see `_digit_cap`): q p is p << B, and
-    q^-1 p, met only on coefficients in qZ[q], is p >> B.  Each finished
-    element's coefficients are interned.  At the end each value new to
-    store (packed int -> LaurentPoly, shared by the table) is decoded once
-    and checked against the cap, and the basis is handed back on the
-    decoded objects, so an equal polynomial is held once however often it
-    occurs.  Every mu is checked as it is read.  Checking stored values
-    at the end suffices: the first one above the cap was computed from
-    values within it, so its digits are exact and its check fails.
+    The recursion runs on rows, model coset -> packed int (see
+    `_digit_cap`): q p is p << B, and q^-1 p, met only on coefficients in
+    qZ[q], is p >> B.  Each finished row's coefficients are interned.  At
+    the end each value new to store (packed int -> LaurentPoly, shared by
+    the table) is decoded once and checked against the cap, and each row
+    is handed back as a `HeckeElt` on the decoded objects, so an equal
+    polynomial is held once however often it occurs.  Every mu is checked
+    as it is read.  Checking stored values at the end suffices: the first
+    one above the cap was computed from values within it, so its digits
+    are exact and its check fails.
     """
     quotient = model.quotient
     n = quotient.n_cosets
@@ -342,15 +345,15 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
         return not p & mask
 
     canon: dict[int, int] = {}
-    packed: dict[int, HeckeElt] = {}
+    rows: dict[int, dict[int, int]] = {}
     for f in range(n):
         if f == 0:
-            xi = _trusted_elt(tag, {0: 1})
+            xi = {0: 1}
         else:
             r, lower = quotient.descent(f)
             move = steps[r]
             out: dict[int, int] = {}
-            for cid, p in packed[lower].coeffs.items():
+            for cid, p in rows[lower].items():
                 step, target = move[cid]
                 if step is fix:
                     continue
@@ -362,18 +365,16 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
                     shifted = p >> bits
                 out[cid] = out.get(cid, 0) + shifted
                 out[target] = out.get(target, 0) + p
-            xi = _trusted_elt(tag, {c: p for c, p in out.items() if p})
             xi = _subtract_mu(
-                xi, quotient.length(f), packed.__getitem__, quotient.length, constant
+                out, quotient.length(f), rows.__getitem__, quotient.length, constant
             )
             _assert_kl_shape(xi, f, quotient.ideal(f), 1, in_qzq)
-        xi.coeffs = {g: canon.setdefault(p, p) for g, p in xi.coeffs.items()}
-        packed[f] = xi
+        rows[f] = {g: canon.setdefault(p, p) for g, p in xi.items()}
     for p in canon:
         if p not in store:
             store[p] = _decode(p, cap)
     return {
-        f: _trusted_elt(tag, {g: store[p] for g, p in packed.pop(f).coeffs.items()})
+        f: _trusted_elt(tag, {g: store[p] for g, p in rows.pop(f).items()})
         for f in range(n)
     }
 
@@ -388,27 +389,28 @@ def _submul(a, b, mu):
 
 
 def _subtract_mu(
-    xi: HeckeElt,
+    xi: dict,
     top_length: int,
     basis,
     length,
     constant=_constant_term,
     submul=_submul,
-) -> HeckeElt:
-    """Clear the constant terms of xi below top_length.
+) -> dict:
+    """The row xi (coset -> coefficient) with its constant terms below
+    top_length cleared.
 
     For each D in xi's support with length(D) < top_length, longest first
     and by id among equal lengths, whose coefficient has a nonzero
-    constant term mu, subtract mu * basis(D).  basis(D) lives on the
-    lower interval of D, so each subtraction only brings in cosets that
-    come later in the walk; they are pushed as they appear.
+    constant term mu, subtract mu * basis(D), the row of D.  basis(D)
+    lives on the lower interval of D, so each subtraction only brings in
+    cosets that come later in the walk; they are pushed as they appear.
 
-    The walk works on a copy of xi's coefficient map in any ring, given
-    its constant-term function and its submul(a, b, mu) = a - mu * b,
-    where a = 0 stands for an absent coefficient: `LaurentPoly`, Path A's
-    packed ints or Path B's coefficient tuples.
+    The walk works on a copy of xi without its zero coefficients, in any
+    ring, given its constant-term function and its submul(a, b, mu) =
+    a - mu * b, where a = 0 stands for an absent coefficient:
+    `LaurentPoly`, Path A's packed ints or Path B's coefficient tuples.
     """
-    coeffs = dict(xi.coeffs)
+    coeffs = {d: p for d, p in xi.items() if p}
     # D of length ell is keyed D - ell * 2**32, so the heap pops the longest
     # first and the smallest id among equal lengths: coset ids are below
     # the group-size cap, far below 2**32
@@ -423,7 +425,7 @@ def _subtract_mu(
         mu = constant(poly)
         if not mu:
             continue
-        for e, poly in basis(d).coeffs.items():
+        for e, poly in basis(d).items():
             value = submul(coeffs.get(e, 0), poly, mu)
             if value:
                 coeffs[e] = value
@@ -433,14 +435,13 @@ def _subtract_mu(
                 queued.add(e)
                 if (ell := length(e)) < top_length:
                     heapq.heappush(heap, e - (ell << 32))
-    return _trusted_elt(xi.tag, coeffs)
+    return coeffs
 
 
-def _assert_kl_shape(elt: HeckeElt, top: int, ideal: int, one, in_qzq) -> None:
-    """elt's coefficient at top is one and the others pass in_qzq, both
-    given in the caller's ring, and its support lies in ideal, top's
+def _assert_kl_shape(coeffs: dict, top: int, ideal: int, one, in_qzq) -> None:
+    """The row's coefficient at top is one and the others pass in_qzq,
+    both given in the caller's ring, and its support lies in ideal, top's
     lower ideal."""
-    coeffs = elt.coeffs
     if coeffs.get(top) != one:
         raise AssertionError(f"leading coefficient at {top} is not 1")
     for cid, poly in coeffs.items():
@@ -531,11 +532,11 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     weight move (id, beta) -> id is computed once.  The memo is keyed on
     (weight id, coset).
 
-    The recursion runs on coefficient tuples (see `_tuple_add`), and reads
-    each generator's (step, target) for every coset from one table, built
-    once, for both the T-step and the relabelling.  Finished coefficients
-    are interned by tuple, and each distinct one met in the result is
-    decoded once to a `LaurentPoly`.
+    The recursion runs on rows, coset -> coefficient tuple (see
+    `_tuple_add`), and reads each generator's (step, target) for every
+    coset from one table, built once, for both the T-step and the
+    relabelling.  Finished coefficients are interned by tuple, and each
+    distinct one met in the result is decoded once to a `LaurentPoly`.
     """
     group = tc.group
     rs = group.rs
@@ -551,7 +552,7 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     weights: list[Weight] = []
     simples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     moves: dict[tuple[int, int], int] = {}
-    memo: dict[tuple[int, int], HeckeElt] = {}
+    memo: dict[tuple[int, int], dict[int, tuple]] = {}
     canon: dict[tuple, tuple] = {}
     one = (1,)
 
@@ -578,22 +579,22 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             )
         return moved
 
-    def relabel(x: HeckeElt, beta: int) -> HeckeElt:
-        """x with each label C moved to C s_beta, a bijection."""
+    def relabel(x: dict, beta: int) -> dict:
+        """The row x with each label C moved to C s_beta, a bijection."""
         table = steps[beta]
         out = {}
-        for cid, p in x.coeffs.items():
+        for cid, p in x.items():
             target = table[cid][1]
             if target in out:
                 raise AssertionError(f"C -> C s_{beta} sends two cosets to {target}")
             out[target] = p
-        return _trusted_elt(tag, out)
+        return out
 
-    def t_step(x: HeckeElt, alpha: int) -> HeckeElt:
+    def t_step(x: dict, alpha: int) -> dict:
         """T_alpha x: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
         table = steps[alpha]
         out: dict[int, tuple] = {}
-        for cid, p in x.coeffs.items():
+        for cid, p in x.items():
             step, target = table[cid]
             if step is fix:
                 continue
@@ -605,15 +606,15 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             out[cid] = shifted if prev is None else _tuple_add(prev, shifted)
             prev = out.get(target)
             out[target] = p if prev is None else _tuple_add(prev, p)
-        return _trusted_elt(tag, {c: p for c, p in out.items() if p})
+        return out
 
-    def compute(wid: int, c: int) -> HeckeElt:
+    def compute(wid: int, c: int) -> dict:
         key = (wid, c)
         cached = memo.get(key)
         if cached is not None:
             return cached
         if c == 0:
-            result = memo[key] = _trusted_elt(tag, {0: one})
+            result = memo[key] = {0: one}
             return result
         nonintegral, integral = simples[wid]
         result = None
@@ -626,18 +627,15 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             for alpha in integral:
                 step, target = steps[alpha][c]
                 if step is lower:
-                    xi = t_step(compute(wid, target), alpha)
-                    result = _subtract_mu(
-                        xi,
+                    xi = _subtract_mu(
+                        t_step(compute(wid, target), alpha),
                         lengths[c],
                         lambda d: compute(wid, d),
                         length,
                         _tuple_constant,
                         _tuple_submul,
                     )
-                    result.coeffs = {
-                        d: canon.setdefault(p, p) for d, p in result.coeffs.items()
-                    }
+                    result = {d: canon.setdefault(p, p) for d, p in xi.items()}
                     break
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
@@ -649,13 +647,13 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     basis = [compute(start, c) for c in range(n)]
     memo.clear()
     store: dict[tuple, LaurentPoly] = {}
-    for elt in basis:
-        for p in elt.coeffs.values():
+    for row in basis:
+        for p in row.values():
             if p not in store:
                 store[p] = _tuple_decode(p)
     return {
-        c: _trusted_elt(tag, {d: store[p] for d, p in elt.coeffs.items()})
-        for c, elt in enumerate(basis)
+        c: _trusted_elt(tag, {d: store[p] for d, p in row.items()})
+        for c, row in enumerate(basis)
     }
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from whitkl import (
@@ -10,6 +12,7 @@ from whitkl import (
     stabilizer_data,
     verma_mode,
 )
+from whitkl.charformula import verma_formula
 
 from conftest import get_group, lambda_golden_a3
 
@@ -194,6 +197,25 @@ def test_verma_mode_golden_a3_block_support():
         )
         for v, _ in cf.rows[w]:
             assert v in block
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [Weight.minus_rho(3), Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2)])],
+    ids=["minus-rho", "half-integral"],
+)
+def test_verma_formula_is_regular_formula_relabelled_by_element(lam):
+    table = build_kl_table(get_group("B", 3), (), lam)
+    cf = regular_formula(table)
+    member = [c.member_ids[0] for c in table.tc.cosets]
+    verma = verma_formula(table)
+    assert verma.mode == "regular" and verma.label_kind == "element"
+    assert verma.labels == tuple(member[c] for c in cf.labels)
+    assert list(verma.rows) == list(verma.labels)
+    for c in cf.labels:
+        assert verma.rows[member[c]] == tuple(
+            sorted((member[d], coeff) for d, coeff in cf.rows[c])
+        )
 
 
 def test_blocks_depend_only_on_model_shape(table_g):

@@ -230,11 +230,22 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
     code, out, err = run_cli(capsys, "--type", "A3", "info")  # missing lambda
     assert code == 1
-    code, out, err = run_cli(
-        capsys, "--type", "A3", "--lambda", "-1,-1,-1", "--max-rank", "2", "info"
-    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--type", "B1", "--lambda=-1,-1"), "B1 is not a valid finite type"),
+        (("--type", "A0", "--lambda="), "rank 0 out of range 1..6"),
+        (("--type", "A9", "--lambda=-1"), "rank 9 out of range 1..6"),
+        (("--type", "D2", "--theta", "γ", "--lambda=-1"), "D2 is not a valid"),
+    ],
+)
+def test_type_is_checked_before_theta_and_lambda(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "info")
     assert code == 1
-    assert "max-rank" in err
+    assert out == ""
+    assert message in err
 
 
 def test_precondition_violation_names_condition(capsys):
@@ -450,6 +461,23 @@ def test_render_json_rejects_values_no_document_holds(bad, type_name):
     _reference_json(bad)
     with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
         render_json(bad)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+def test_characters_verma_reports_the_empty_theta_it_used(capsys, fmt):
+    def run(theta):
+        code, out, err = run_cli(
+            capsys, "--type", "A2", "--theta", theta, "--lambda", "-1,-1",
+            "--format", fmt, "characters", "--verma",
+        )
+        assert code == 0, err
+        return out
+
+    out = run("α")
+    if fmt == "json":
+        context = json.loads(out)["context"]
+        assert context["theta"] == [] and context["theta_indices"] == []
+    assert out == run("")
 
 
 def test_characters_verma_builds_one_table(capsys, monkeypatch):
