@@ -8,7 +8,8 @@ Output is streamed: the document is written to stdout in bounded chunks
 as it is rendered, never held whole.  Its long lists are not held either:
 the KL polynomials, and the entries of each character and multiplicity
 row, are row sequences (``_Rows``) that read the table, the formula and
-the inverse as they are iterated, and yield the same dicts each time.
+the inverse as they are iterated, and yield the same dicts each time;
+each coset's ``below`` list (``_Below``) is read off its ideal bitset.
 The JSON writer writes such a sequence's rows from one %-template per
 set of keys and indent, and each distinct string's JSON text is made once.
 Every error is found before the first byte is written, so a failing
@@ -38,7 +39,7 @@ from .charformula import (
     singular_formula,
     verma_formula,
 )
-from .cosetlab import build_theta_cosets, stabilizer_data
+from .cosetlab import _bits, _flags, build_theta_cosets, stabilizer_data
 from .heckemodule import SpaceMismatchError
 from .klengine import build_kl_table, build_models, phi_direct
 from .rootsystem import Weight, build_root_system, weight_flags
@@ -254,7 +255,8 @@ def _coset_entry(group, tc, record):
         "longest": _elt_entry(group, record.longest),
         "shortest": _elt_entry(group, record.shortest),
         "length": group.length(record.longest),
-        "below": tc.below(record.id),
+        # the strict lower ideal: bit C of C's own ideal cleared
+        "below": _Below(tc.ideal(record.id) ^ 1 << record.id),
     }
 
 
@@ -498,6 +500,29 @@ class _Rows(list):
         return self.length
 
 
+class _Below(list):
+    """The ascending positions of the set bits of ``mask``, read off it each
+    time it is iterated: a coset's ``below`` list.  Like ``_Rows`` it stays
+    empty and is a list for the writers; it compares as the list of its ids."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __iter__(self):
+        return iter(_bits(self.mask))
+
+    def __len__(self):
+        return self.mask.bit_count()
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __ne__(self, other):
+        return list(self) != other
+
+
 class _Lines:
     """Lines of a text document, each handed to ``sink`` with its newline,
     in batches of about _CHUNK_CHARS characters."""
@@ -552,10 +577,12 @@ def render_json(data, sink=None):
     pure-Python one spends most of a large document's time in generators.
     This writer appends to one list, encodes each distinct string key once,
     and writes a list or object whose values are all scalars with a single
-    join.  A ``_Rows`` list is written a batch of rows at a time: a batch
-    whose values are all exact ints and strs goes through the one
-    %-template of its keys and indent, with each distinct value's JSON
-    text made once per render; any other batch takes the walk above.
+    join.  A ``_Below`` list is written with one join of the texts of its
+    ids, picked by the 0/1 flags of its mask.  A ``_Rows`` list is written
+    a batch of rows at a time: a batch whose values are all exact ints and
+    strs goes through the one %-template of its keys and indent, with each
+    distinct value's JSON text made once per render; any other batch takes
+    the walk above.
     """
     if sink is None:
         return _joined(render_json, data)
@@ -576,6 +603,8 @@ def render_json(data, sink=None):
         sink("".join(out))
         out.clear()
 
+    id_texts: list[str] = []  # id_texts[i] is str(i), for the widest mask so far
+
     def write(value, nl: str) -> None:
         enc = scalars.get(type(value))
         if enc is not None:
@@ -586,6 +615,12 @@ def render_json(data, sink=None):
                 return
             inner = nl + "  "
             sep = "," + inner
+            if type(value) is _Below:
+                flags = _flags(value.mask)
+                if len(flags) > len(id_texts):
+                    id_texts.extend(map(str, range(len(id_texts), len(flags))))
+                append("[" + inner + sep.join(compress(id_texts, flags)) + nl + "]")
+                return
             if type(value) is _Rows:
                 write_rows(value, inner)
                 append(nl + "]")

@@ -81,8 +81,15 @@ class ThetaCosets:
     (Bjorner and Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read
     on cosets: ideal(0) = {0}, and for a LOWER step C s,
     ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}.  Coset ids ascend with
-    length, so ideal(C) has no bit above C.  All ideals together take at
-    most n^2/8 bytes for n cosets (0.46 MB for D5 with Theta empty).
+    length, so ideal(C) has no bit above C.
+
+    One ideal is built without a Python step per bit: the 0/1 flags of
+    ideal(Cs) select, from the table of targets D s of the generator s,
+    the ids whose powers of two are summed in C.  The tables hold n ids
+    per generator, for n cosets.  All ideals together take at most n^2/8
+    bytes (0.46 MB for D5 with Theta empty), and the table of powers of
+    two, one for all generators, grows only to the highest coset id asked
+    for, about n^2/16 bytes at most.
     """
 
     def __init__(self, group: WeylGroup, members, steps, lengths, theta):
@@ -132,6 +139,12 @@ class ThetaCosets:
         self._longest = [c.longest for c in cosets]
         self._lengths = [lengths[c.longest] for c in cosets]
         self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
+        # targets[s][D] is the id of D s
+        self._targets = {
+            s: list(map(coset_of.__getitem__, map(step.__getitem__, self._longest)))
+            for s, step in self._steps.items()
+        }
+        self._powers = [1]  # powers[D] = 1 << D, for every D asked for so far
 
     def ideal(self, c: int) -> int:
         """The lower ideal of C: bit D is set iff D <= C."""
@@ -139,12 +152,13 @@ class ThetaCosets:
         if ideal is None:
             s, lower = self.descent(c)
             below = self.ideal(lower)
-            right = self._steps[s]
-            coset_of, longest = self.coset_of, self._longest
-            ideal = below
-            for d in _bits(below):
-                ideal |= 1 << coset_of[right[longest[d]]]
-            self._ideals[c] = ideal
+            powers = self._powers
+            if len(powers) <= c:
+                powers.extend(1 << d for d in range(len(powers), c + 1))
+            # right multiplication by s permutes the cosets, so the moved
+            # bits are distinct and their sum is their union
+            moved = itertools.compress(self._targets[s], _flags(below))
+            ideal = self._ideals[c] = below | sum(map(powers.__getitem__, moved))
         return ideal
 
     def leq(self, c: int, d: int) -> bool:
@@ -152,7 +166,7 @@ class ThetaCosets:
 
     def below(self, c: int) -> list[int]:
         """Ascending ids of the cosets strictly below C."""
-        return [d for d in _bits(self.ideal(c)) if d != c]
+        return _bits(self.ideal(c) ^ 1 << c)
 
     def length(self, c: int) -> int:
         return self._lengths[c]
@@ -186,13 +200,15 @@ class ThetaCosets:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(mask: int) -> list[int]:
-    """Ascending positions of the set bits of mask.
+def _flags(mask: int) -> bytes:
+    """The binary digits of mask, lowest first, as bytes of 0/1 flags that
+    `compress` reads, so no Python-level step runs per bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
 
-    The binary digits, lowest first, become a bytes of 0/1 flags that
-    `compress` reads, so no Python-level step runs per bit.
-    """
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+
+def _bits(mask: int) -> list[int]:
+    """Ascending positions of the set bits of mask."""
+    flags = _flags(mask)
     return list(itertools.compress(range(len(flags)), flags))
 
 

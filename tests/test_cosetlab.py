@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -578,3 +579,53 @@ def test_below_unchanged_on_d5_theta_empty():
         assert below == [d for d in _bits_by_text(tc.ideal(c)) if d != c]
         assert all(tc.leq(d, c) for d in below)
     assert sum(len(tc.below(c)) for c in range(tc.n_cosets)) > 0
+
+
+def _ideals_by_union(tc):
+    """Every ideal of tc by the per-bit union it is defined by:
+    ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}, one bit at a time."""
+    ideals = [1]
+    for c in range(1, tc.n_cosets):
+        s, lower = tc.descent(c)
+        ideal = ideals[lower]
+        for d in _bits_by_text(ideals[lower]):
+            ideal |= 1 << tc.times_simple(d, s)[1]
+        ideals.append(ideal)
+    return ideals
+
+
+def _model_quotients_at_the_singular_nonintegral_weight():
+    group = get_group("D", 5)
+    lam = parse_lambda("0,-1+1*t1,-1/2,-1-1*t1,-1", 5)
+    idata = integral_data(group, (), lam)
+    tc = build_theta_cosets(group, ())
+    order = subgroup_bruhat(group, idata)
+    models = [build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda]
+    return list({id(m.quotient): m.quotient for m in models}.values())
+
+
+IDEAL_CASES = {
+    "D5-theta-empty": lambda: [build_theta_cosets(get_group("D", 5), ())],
+    "F4-theta-alpha": lambda: [build_theta_cosets(get_group("F", 4), (0,))],
+    "B3-every-theta": lambda: [
+        build_theta_cosets(get_group("B", 3), theta) for theta in _every_theta(3)
+    ],
+    "D5-singular-nonintegral-models": (
+        _model_quotients_at_the_singular_nonintegral_weight
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_CASES))
+def test_ideals_equal_the_per_bit_union(case):
+    rng = random.Random(case)
+    for tc in IDEAL_CASES[case]():
+        expected = _ideals_by_union(tc)
+        # ask from the top down, so the first request reaches the highest id
+        for c in reversed(range(tc.n_cosets)):
+            assert tc.ideal(c) == expected[c], c
+            assert tc.below(c) == [d for d in _bits_by_text(expected[c]) if d != c]
+        n = tc.n_cosets
+        for _ in range(2000):
+            c, d = rng.randrange(n), rng.randrange(n)
+            assert tc.leq(c, d) == (expected[d] >> c & 1 == 1), (c, d)

@@ -8,8 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from whitkl import Weight, build_kl_table
-from whitkl.cli import Job, _Rows, render_json, run_characters, run_klpolys
+from whitkl import Weight, build_kl_table, build_theta_cosets
+from whitkl.cli import (
+    Job,
+    _Below,
+    _Rows,
+    render_json,
+    run_characters,
+    run_cosets,
+    run_info,
+    run_klpolys,
+)
 
 from conftest import get_group, lambda_golden_a3
 
@@ -124,3 +133,49 @@ def test_characters_document_holds_less_than_its_dicts():
     assert len(data["multiplicities"]) == 384
     # one dict per entry held 18.1 MB (peak 21.7 MB); the rows hold 7.0 MB
     assert held < 18 * 2**20 and peak < 18 * 2**20, (held, peak)
+
+
+BELOW_CASES = {
+    "A3-golden": ("A", 3, (0, 1), lambda_golden_a3()),
+    "B3-non-integral": KL_CASES["B3-non-integral"],
+}
+BELOW_COMMANDS = {
+    "info": run_info,
+    "cosets": run_cosets,
+    "klpolys": run_klpolys,
+    "characters": run_characters,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_COMMANDS))
+@pytest.mark.parametrize("case", sorted(BELOW_CASES))
+def test_below_lists_follow_the_coset_order(case, command):
+    letter, rank, theta, lam = BELOW_CASES[case]
+    data = BELOW_COMMANDS[command](Job(letter, rank, theta, lam))
+    text = render_json(data)
+    assert text == _reference_json(data)
+    assert '"below": []' in text
+    tc = build_theta_cosets(get_group(letter, rank), theta)
+    assert len(data["cosets"]) == tc.n_cosets > 1
+    for entry in data["cosets"]:
+        below = entry["below"]
+        assert type(below) is _Below
+        expected = tc.below(entry["id"])
+        first, second = list(below), list(below)
+        assert first == second == expected
+        assert len(below) == len(expected)
+        assert below == expected and not below != expected
+    assert json.loads(text)["cosets"][0]["below"] == []
+
+
+def test_below_wider_than_every_id_text_so_far_matches_json_dumps():
+    doc = {
+        "narrow": _Below(0b1011),
+        "empty": _Below(0),
+        "wide": _Below(1 << 1500 | 1 << 700 | 1 << 4 | 1),
+        "again": [_Below(1 << 9), _Below((1 << 2000) - 1)],
+    }
+    text = render_json(doc)
+    assert text == _reference_json(doc)
+    assert json.loads(text)["wide"] == [0, 4, 700, 1500]
+    assert json.loads(text)["again"][1] == list(range(2000))
