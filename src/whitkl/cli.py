@@ -625,9 +625,6 @@ def render_json(data, sink=None):
                 write_rows(value, inner)
                 append(nl + "]")
                 return
-            if set(map(type, value)) == {int}:
-                append("[" + inner + sep.join(map(int.__repr__, value)) + nl + "]")
-                return
             parts = []
             for v in value:
                 enc = scalars.get(type(v))

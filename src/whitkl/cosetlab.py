@@ -64,7 +64,7 @@ class CosetRecord:
 class ThetaCosets:
     """W_J \\ W', the right cosets of a standard parabolic subgroup W_J of a
     Coxeter system (W', S') inside the Weyl group, with their Bruhat order
-    and simple-step moves.
+    and the moves C -> C s for s in S'.
 
     W' is given by its member ids, S' by a dict from each generator label
     s to its right-step table (steps[s][w] is the id of w s), its length
@@ -73,6 +73,14 @@ class ThetaCosets:
     ``build_theta_cosets`` makes (W, simple reflections, Theta), and
     ``IntegralSystem.cosets`` makes (W_lambda, reflections of Pi_lambda,
     Theta(u,lambda)) for the integral models.  ``theta`` holds J.
+
+    Every move C -> C s is read from one table of n ids per generator, for
+    n cosets: targets(s)[C] is the coset of w^C s, for C's longest element
+    w^C.  C s is C (FIX), or longer (RAISE) or shorter (LOWER) by
+    ``lengths``.  The build checks, per generator and in C-level passes,
+    that C -> C s is an involution, so a bijection, and that wherever it
+    moves C, w^C s is the longest element of C s; the element step tables
+    are not kept.
 
     The order is the Bruhat order of (W', S') on longest coset elements.
     It is kept as one lower ideal per coset: an int bitset over coset ids
@@ -84,24 +92,22 @@ class ThetaCosets:
     length, so ideal(C) has no bit above C.
 
     One ideal is built without a Python step per bit: the 0/1 flags of
-    ideal(Cs) select, from the table of targets D s of the generator s,
-    the ids whose powers of two are summed in C.  The tables hold n ids
-    per generator, for n cosets.  All ideals together take at most n^2/8
-    bytes (0.46 MB for D5 with Theta empty), and the table of powers of
-    two, one for all generators, grows only to the highest coset id asked
-    for, about n^2/16 bytes at most.
+    ideal(Cs) select, from the move table of the generator s, the ids D s
+    whose powers of two are summed in C.  All ideals together take at most
+    n^2/8 bytes (0.46 MB for D5 with Theta empty), and the table of powers
+    of two, one for all generators, grows only to the highest coset id
+    asked for, about n^2/16 bytes at most.
     """
 
     def __init__(self, group: WeylGroup, members, steps, lengths, theta):
         self.group = group
         self.theta = tuple(theta)
-        self._steps = steps
-        self._build(members, lengths)
+        self._build(members, steps, lengths)
 
-    def _build(self, members, lengths):
+    def _build(self, members, steps, lengths):
         # W_J w = (w^-1 W_J)^-1, and w^-1 W_J is a right-step orbit
         inverse = self.group.inverse
-        theta_steps = [self._steps[j] for j in self.theta]
+        theta_steps = [steps[j] for j in self.theta]
         seen = set()
         raw = []
         for start in members:
@@ -132,19 +138,34 @@ class ThetaCosets:
             cosets.append(CosetRecord(c, tuple(coset), longest[0], shortest))
             for x in coset:
                 coset_of[x] = c
+        del raw, seen  # the records hold the members; free them for the moves
         self.cosets = cosets
         self.coset_of = coset_of
         self.n_cosets = len(cosets)
         self.w_theta_ids = frozenset(cosets[0].member_ids)
-        self._longest = [c.longest for c in cosets]
-        self._lengths = [lengths[c.longest] for c in cosets]
+        self._longest = longest = [c.longest for c in cosets]
+        self.lengths = tuple(map(lengths.__getitem__, longest))
         self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
-        # targets[s][D] is the id of D s
-        self._targets = {
-            s: list(map(coset_of.__getitem__, map(step.__getitem__, self._longest)))
-            for s, step in self._steps.items()
-        }
+        # the records' own id objects, so no new ints, compared by identity
+        ids = list(map(operator.attrgetter("id"), cosets))
+        self._targets = {s: self._moves(s, step, ids) for s, step in steps.items()}
         self._powers = [1]  # powers[D] = 1 << D, for every D asked for so far
+
+    def _moves(self, s, step, ids) -> tuple[int, ...]:
+        """targets(s), from the element step table of s, after the two
+        checks the class docstring names; ids lists the coset ids."""
+        longest = self._longest
+        moved = list(map(step.__getitem__, longest))  # w^C s
+        targets = list(map(self.coset_of.__getitem__, moved))
+        if list(map(targets.__getitem__, targets)) != ids:
+            raise AssertionError(f"C -> C s_{s} is not an involution")
+        tops = list(map(longest.__getitem__, targets))
+        if tops != moved:
+            # only a C with C s = C may keep w^C s off the longest element
+            off = list(itertools.compress(ids, map(operator.ne, tops, moved)))
+            if list(map(targets.__getitem__, off)) != off:
+                raise AssertionError(f"C -> C s_{s} does not move the longest element")
+        return tuple(targets)
 
     def ideal(self, c: int) -> int:
         """The lower ideal of C: bit D is set iff D <= C."""
@@ -169,26 +190,28 @@ class ThetaCosets:
         return _bits(self.ideal(c) ^ 1 << c)
 
     def length(self, c: int) -> int:
-        return self._lengths[c]
+        return self.lengths[c]
+
+    def targets(self, s) -> tuple[int, ...]:
+        """The move table of the generator s: targets(s)[C] is the id of C s."""
+        return self._targets[s]
 
     def times_simple(self, c: int, s) -> tuple[CosetStep, int]:
-        """Classify C s against C, for a generator s, and return the target."""
-        x = self._steps[s][self._longest[c]]
-        target = self.coset_of[x]
+        """Classify C s against C, for a generator s, and return the target,
+        reading only the move table of s and the lengths."""
+        target = self._targets[s][c]
         if target == c:
             return (CosetStep.FIX, c)
-        # in the moving cases the longest element of the target is w^C s
-        if self._longest[target] != x:
-            raise AssertionError("coset step does not move the longest element")
-        if self._lengths[target] > self._lengths[c]:
+        if self.lengths[target] > self.lengths[c]:
             return (CosetStep.RAISE, target)
         return (CosetStep.LOWER, target)
 
     def descent(self, c: int) -> tuple[int, int]:
         """(s, C s) for the first generator s that lowers C."""
-        for s in self._steps:
-            step, lower = self.times_simple(c, s)
-            if step is CosetStep.LOWER:
+        lengths = self.lengths
+        for s, targets in self._targets.items():
+            lower = targets[c]
+            if lengths[lower] < lengths[c]:
                 return s, lower
         raise AssertionError(f"coset {c} admits no simple descent")
 

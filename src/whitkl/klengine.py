@@ -42,10 +42,12 @@ Kazhdan-Lusztig polynomials for arbitrary Coxeter groups", Experiment.
 Math. 11, 2002).  A coset outside the support has no constant term, so
 the walk makes exactly the subtractions, in exactly the order, of a scan
 over every shorter coset.  `_assert_kl_shape` checks both paths'
-results.  Each path applies T in its own ring from a per-generator table
-of coset steps, built once; Path B's relabelling reads the same tables.
-Both keep each row as a plain dict, coset -> packed int or tuple, and
-wrap only finished rows in `HeckeElt`s: psi's and `phi_direct`'s values.
+results.  Each path applies T in its own ring, reading every coset move
+C -> C s and the lengths from the one table `ThetaCosets` builds and
+checks (`targets`, `lengths`); Path B's relabelling and descent scan read
+the same table.  Both keep each row as a plain dict, coset -> packed int
+or tuple, and wrap only finished rows in `HeckeElt`s: psi's and
+`phi_direct`'s values.
 
 The two must agree everywhere; disagreement is the strongest available
 bug detector and is surfaced, never patched.
@@ -59,7 +61,6 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 
 from .cosetlab import (
-    CosetStep,
     IntegralData,
     IntegralModel,
     ThetaCosets,
@@ -228,18 +229,6 @@ def _to_global(tag, ind, elt: HeckeElt) -> HeckeElt:
     return _trusted_elt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
 
 
-class _StepTables(dict):
-    """generator s -> [tc.times_simple(C, s) for every coset C], each list
-    built on first use."""
-
-    def __init__(self, tc: ThetaCosets):
-        self.tc = tc
-
-    def __missing__(self, s):
-        table = self[s] = [self.tc.times_simple(c, s) for c in range(self.tc.n_cosets)]
-        return table
-
-
 def kl_basis_model(model: IntegralModel):
     """Kazhdan-Lusztig basis of one integral model.
 
@@ -329,9 +318,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     bits = _DIGIT_BITS
     mask = (1 << bits) - 1
     cap = _digit_cap()
-    raise_ = CosetStep.RAISE
-    fix = CosetStep.FIX
-    steps = _StepTables(quotient)
+    lengths = quotient.lengths
 
     def constant(p: int) -> int:
         mu = p & mask
@@ -351,13 +338,13 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
             xi = {0: 1}
         else:
             r, lower = quotient.descent(f)
-            move = steps[r]
+            targets = quotient.targets(r)
             out: dict[int, int] = {}
             for cid, p in rows[lower].items():
-                step, target = move[cid]
-                if step is fix:
+                target = targets[cid]
+                if target == cid:
                     continue
-                if step is raise_:
+                if lengths[target] > lengths[cid]:
                     shifted = p << bits
                 elif p & mask:
                     raise AssertionError(f"q^-1 meets a constant term at {cid}")
@@ -366,7 +353,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
                 out[cid] = out.get(cid, 0) + shifted
                 out[target] = out.get(target, 0) + p
             xi = _subtract_mu(
-                out, quotient.length(f), rows.__getitem__, quotient.length, constant
+                out, lengths[f], rows.__getitem__, lengths.__getitem__, constant
             )
             _assert_kl_shape(xi, f, quotient.ideal(f), 1, in_qzq)
         rows[f] = {g: canon.setdefault(p, p) for g, p in xi.items()}
@@ -533,21 +520,19 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     (weight id, coset).
 
     The recursion runs on rows, coset -> coefficient tuple (see
-    `_tuple_add`), and reads each generator's (step, target) for every
-    coset from one table, built once, for both the T-step and the
-    relabelling.  Finished coefficients are interned by tuple, and each
+    `_tuple_add`).  The descent scan, the T-step and the relabelling read
+    each move C -> C s from tc's move table (`ThetaCosets.targets`), whose
+    build checked that it is a bijection, and compare `tc.lengths`.
+    Finished coefficients are interned by tuple, and each
     distinct one met in the result is decoded once to a `LaurentPoly`.
     """
     group = tc.group
     rs = group.rs
     n = tc.n_cosets
     tag = global_tag(tc)
-    lengths = [tc.length(c) for c in range(n)]
+    lengths = tc.lengths
     length = lengths.__getitem__
-    fix = CosetStep.FIX
-    raise_ = CosetStep.RAISE
-    lower = CosetStep.LOWER
-    steps = _StepTables(tc)
+    targets = {s: tc.targets(s) for s in range(rs.rank)}
     ids: dict[Weight, int] = {}
     weights: list[Weight] = []
     simples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -581,24 +566,18 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
 
     def relabel(x: dict, beta: int) -> dict:
         """The row x with each label C moved to C s_beta, a bijection."""
-        table = steps[beta]
-        out = {}
-        for cid, p in x.items():
-            target = table[cid][1]
-            if target in out:
-                raise AssertionError(f"C -> C s_{beta} sends two cosets to {target}")
-            out[target] = p
-        return out
+        table = targets[beta]
+        return {table[cid]: p for cid, p in x.items()}
 
     def t_step(x: dict, alpha: int) -> dict:
         """T_alpha x: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
-        table = steps[alpha]
+        table = targets[alpha]
         out: dict[int, tuple] = {}
         for cid, p in x.items():
-            step, target = table[cid]
-            if step is fix:
+            target = table[cid]
+            if target == cid:
                 continue
-            if step is raise_:
+            if lengths[target] > lengths[cid]:
                 shifted = _tuple_times_q(p)
             else:
                 shifted = _tuple_over_q(p)
@@ -619,14 +598,14 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
         nonintegral, integral = simples[wid]
         result = None
         for beta in nonintegral:
-            step, target = steps[beta][c]
-            if step is lower:
+            target = targets[beta][c]
+            if lengths[target] < lengths[c]:
                 result = relabel(compute(move(wid, beta), target), beta)
                 break
         if result is None:
             for alpha in integral:
-                step, target = steps[alpha][c]
-                if step is lower:
+                target = targets[alpha][c]
+                if lengths[target] < lengths[c]:
                     xi = _subtract_mu(
                         t_step(compute(wid, target), alpha),
                         lengths[c],

@@ -594,6 +594,18 @@ def _ideals_by_union(tc):
     return ideals
 
 
+def _element_tables(group):
+    """The element step tables and lengths `build_theta_cosets` reads."""
+    steps = {i: [row[i] for row in group.right_table] for i in range(group.rs.rank)}
+    return steps, [w.length for w in group.elements]
+
+
+def _global_cases(letter, rank, thetas):
+    group = get_group(letter, rank)
+    steps, lengths = _element_tables(group)
+    return [(build_theta_cosets(group, theta), steps, lengths) for theta in thetas]
+
+
 def _model_quotients_at_the_singular_nonintegral_weight():
     group = get_group("D", 5)
     lam = parse_lambda("0,-1+1*t1,-1/2,-1-1*t1,-1", 5)
@@ -601,25 +613,54 @@ def _model_quotients_at_the_singular_nonintegral_weight():
     tc = build_theta_cosets(group, ())
     order = subgroup_bruhat(group, idata)
     models = [build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda]
-    return list({id(m.quotient): m.quotient for m in models}.values())
+    quotients = {id(m.quotient): m.quotient for m in models}.values()
+    return [(quotient, order.steps, order.lengths) for quotient in quotients]
 
 
 IDEAL_CASES = {
-    "D5-theta-empty": lambda: [build_theta_cosets(get_group("D", 5), ())],
-    "F4-theta-alpha": lambda: [build_theta_cosets(get_group("F", 4), (0,))],
-    "B3-every-theta": lambda: [
-        build_theta_cosets(get_group("B", 3), theta) for theta in _every_theta(3)
-    ],
+    "D5-theta-empty": lambda: _global_cases("D", 5, [()]),
+    "F4-theta-alpha": lambda: _global_cases("F", 4, [(0,)]),
+    "B3-every-theta": lambda: _global_cases("B", 3, _every_theta(3)),
     "D5-singular-nonintegral-models": (
         _model_quotients_at_the_singular_nonintegral_weight
     ),
 }
 
 
+def _assert_moves_by_element_tables(tc, steps, lengths):
+    """times_simple and descent of every coset and generator against the
+    element tables: C s is the coset of w^C s, for C's longest element
+    w^C, which is the longest element of C s when it moves C, and C s is
+    longer or shorter than C as its longest element is."""
+    for record in tc.cosets:
+        c, top = record.id, record.longest
+        assert tc.length(c) == lengths[top], c
+        descent = None
+        for s, step in steps.items():
+            x = step[top]
+            target = tc.coset_of[x]
+            if target == c:
+                expected = (CosetStep.FIX, c)
+            else:
+                assert tc.cosets[target].longest == x, (c, s)
+                if lengths[x] > lengths[top]:
+                    expected = (CosetStep.RAISE, target)
+                else:
+                    expected = (CosetStep.LOWER, target)
+                    descent = descent or (s, target)
+            assert tc.times_simple(c, s) == expected, (c, s)
+        if descent is None:
+            assert c == 0
+            with pytest.raises(AssertionError, match="admits no simple descent"):
+                tc.descent(c)
+        else:
+            assert tc.descent(c) == descent, c
+
+
 @pytest.mark.parametrize("case", sorted(IDEAL_CASES))
 def test_ideals_equal_the_per_bit_union(case):
     rng = random.Random(case)
-    for tc in IDEAL_CASES[case]():
+    for tc, steps, lengths in IDEAL_CASES[case]():
         expected = _ideals_by_union(tc)
         # ask from the top down, so the first request reaches the highest id
         for c in reversed(range(tc.n_cosets)):
@@ -629,3 +670,28 @@ def test_ideals_equal_the_per_bit_union(case):
         for _ in range(2000):
             c, d = rng.randrange(n), rng.randrange(n)
             assert tc.leq(c, d) == (expected[d] >> c & 1 == 1), (c, d)
+        _assert_moves_by_element_tables(tc, steps, lengths)
+
+
+def test_a_move_table_that_is_no_involution_is_refused_at_build():
+    group = get_group("B", 3)
+    steps, lengths = _element_tables(group)
+    # elements 5 and 6 both go to 6 s_1, so C -> C s_1 is not a bijection
+    steps[1][5] = steps[1][6]
+    with pytest.raises(AssertionError, match="C -> C s_1 is not an involution"):
+        cosetlab.ThetaCosets(group, range(group.size), steps, lengths, ())
+
+
+def test_a_move_off_the_longest_element_is_refused_at_build():
+    group = get_group("B", 3)
+    steps, lengths = _element_tables(group)
+    tc = build_theta_cosets(group, (0,))
+    record = next(r for r in tc.cosets if tc.times_simple(r.id, 1)[0] is CosetStep.RAISE)
+    target = tc.cosets[tc.times_simple(record.id, 1)[1]]
+    # w^C s_1 now lands on the shortest element of C s_1: every coset keeps
+    # its target, so only the longest-element check can see it
+    steps[1][record.longest] = target.shortest
+    with pytest.raises(
+        AssertionError, match="C -> C s_1 does not move the longest element"
+    ):
+        cosetlab.ThetaCosets(group, range(group.size), steps, lengths, (0,))
