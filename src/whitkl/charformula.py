@@ -22,6 +22,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 
 from .cosetlab import StabilizerData
 from .klengine import KLTable, build_kl_table
@@ -46,19 +48,20 @@ class CharacterFormula:
     rows: dict[int, tuple[tuple[int, int], ...]]
 
 
-def _at_minus_one(row: dict, values: dict[int, int]):
-    """(D, P_{CD}(-1)) over row, the coefficients of phi[C], in order.
+def _at_minus_one(polys: list, values: dict[int, int]) -> list[int]:
+    """P(-1) for each P in polys, in C-level passes.
 
     values memoizes P(-1) by the polynomial's id.  Path A interns its
     polynomials, so each distinct value is one object and is evaluated
     once; the table keeps every object alive, so an id names one
     polynomial for as long as the table lives.
     """
-    for d, poly in row.items():
-        value = values.get(id(poly))
-        if value is None:
-            value = values[id(poly)] = poly.eval_minus_one()
-        yield d, value
+    at = list(map(values.get, map(id, polys)))
+    if None in at:
+        for poly in compress(polys, map(is_, at, repeat(None))):
+            values[id(poly)] = poly.eval_minus_one()
+        at = list(map(values.__getitem__, map(id, polys)))
+    return at
 
 
 def _regular(kl: KLTable, label_kind: str, labels: list[int]) -> CharacterFormula:
@@ -66,11 +69,14 @@ def _regular(kl: KLTable, label_kind: str, labels: list[int]) -> CharacterFormul
     C labelled labels[C], from one read of each row of kl.phi.  A list
     hands out one int object per label, however many entries name it."""
     require_antidominant(kl.group.rs, kl.lam, allow_zero=False)
+    label_of = labels.__getitem__
     values: dict[int, int] = {}
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for c, label in enumerate(labels):
-        row = _at_minus_one(kl.phi[c].coeffs, values)
-        rows[label] = tuple(sorted((labels[d], value) for d, value in row if value))
+        coeffs = kl.phi[c].coeffs
+        ds = sorted(coeffs, key=label_of)
+        at = _at_minus_one(list(map(coeffs.__getitem__, ds)), values)
+        rows[label] = tuple(zip(compress(map(label_of, ds), at), compress(at, at)))
     return CharacterFormula("regular", label_kind, tuple(labels), rows)
 
 
@@ -203,8 +209,9 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
         c = tc.coset_of[v]
         if tc.cosets[c].shortest != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
+        coeffs = kl.phi[c].coeffs
         acc: dict[int, int] = {}
-        for d, value in _at_minus_one(kl.phi[c].coeffs, values):
+        for d, value in zip(coeffs, _at_minus_one(list(coeffs.values()), values)):
             z = rep_of_coset[d]
             acc[z] = acc.get(z, 0) + value
         rows[v] = tuple(sorted((z, coeff) for z, coeff in acc.items() if coeff))

@@ -10,8 +10,8 @@ the KL polynomials, and the entries of each character and multiplicity
 row, are row sequences (``_Rows``) that read the table, the formula and
 the inverse as they are iterated, and yield the same dicts each time;
 each coset's ``below`` list (``_Below``) is read off its ideal bitset.
-The JSON writer writes such a sequence's rows from one %-template per
-set of keys and indent, and each distinct string's JSON text is made once.
+The JSON writer writes such a sequence's rows as the pieces all rows
+share around their values' texts, each distinct value's text made once.
 Every error is found before the first byte is written, so a failing
 command prints nothing on stdout.  A reader that closes the pipe early
 (``whitkl ... | head``) ends the command quietly with its usual exit code.
@@ -29,8 +29,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from . import laurent
 from .charformula import (
@@ -325,6 +326,19 @@ def _kl_rows(table):
             yield c, d, text
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _named_entries(name, row):
+    """(name(D), D, coeff) over a formula row of (D, coeff) pairs."""
+    return zip(map(name, map(_first, row)), map(_first, row), map(_second, row))
+
+
+def _nonzero_entries(names, labels, row):
+    """(names[j], labels[j], coeff) over the nonzero entries of a row."""
+    return zip(compress(names, row), compress(labels, row), compress(row, row))
+
+
 def run_characters(job, invert=False, verma=False):
     group = job.group
     context = job.context()
@@ -348,10 +362,7 @@ def run_characters(job, invert=False, verma=False):
         x: elt_name(group, x if cosets is None else cosets[x].longest)
         for x in cf.labels
     }
-
-    def standard(entry):
-        d, coeff = entry
-        return names[d], d, coeff
+    name = names.__getitem__
 
     data = {
         "context": context,
@@ -363,7 +374,7 @@ def run_characters(job, invert=False, verma=False):
                 "irreducible_id": x,
                 "entries": _Rows(
                     ("standard", "standard_id", "coeff"),
-                    partial(map, standard, cf.rows[x]),
+                    partial(_named_entries, name, cf.rows[x]),
                     len(cf.rows[x]),
                 ),
             }
@@ -376,19 +387,13 @@ def run_characters(job, invert=False, verma=False):
         inverse = invert_multiplicities(cf)
         labels = cf.labels
         ordered = [names[x] for x in labels]
-
-        def irreducible(row):
-            """One value tuple per nonzero entry of an inverse row."""
-            for j, coeff in compress(enumerate(row), row):
-                yield ordered[j], labels[j], coeff
-
         data["multiplicities"] = [
             {
                 "standard": ordered[i],
                 "standard_id": labels[i],
                 "entries": _Rows(
                     ("irreducible", "irreducible_id", "coeff"),
-                    partial(irreducible, row),
+                    partial(_nonzero_entries, ordered, labels, row),
                     len(row) - row.count(0),
                 ),
             }
@@ -478,7 +483,8 @@ _CHUNK_CHARS = 1 << 16
 class _Rows(list):
     """A list of flat dicts with the keys ``fields``, made each time it is
     iterated and never held: ``rows()`` gives a fresh iterator of value
-    tuples, one per dict, in the order of ``fields``.
+    tuples, one per dict, in the order of ``fields``.  ``render_json``
+    writes a batch of tuples of exact ints and strs without their dicts.
 
     The list itself stays empty; it is a list so that ``render_json`` and
     ``json.dumps`` write it as one.  It is only ever iterated, never
@@ -579,10 +585,11 @@ def render_json(data, sink=None):
     and writes a list or object whose values are all scalars with a single
     join.  A ``_Below`` list is written with one join of the texts of its
     ids, picked by the 0/1 flags of its mask.  A ``_Rows`` list is written
-    a batch of rows at a time: a batch whose values are all exact ints and
-    strs goes through the one %-template of its keys and indent, with each
-    distinct value's JSON text made once per render; any other batch takes
-    the walk above.
+    a batch of rows at a time.  A batch whose values are all exact ints
+    and strs is written with no Python step per row: the pieces every row
+    shares (keys, braces, commas) are interleaved with its columns' value
+    texts, each distinct value's made once per render.  Any other batch
+    takes the walk above.
     """
     if sink is None:
         return _joined(render_json, data)
@@ -672,31 +679,43 @@ def render_json(data, sink=None):
 
     # JSON text of an exact str or int, made once per distinct value
     text = _Texts().__getitem__
-    forms: dict[tuple, str] = {}  # (keys, indent) -> one row's %-template
+
+    # (keys, indent) -> the pieces all rows of that shape share, each an
+    # endless repeat that every batch reads as far as its values go: "," and
+    # "{" before the first key, "," before each later key, and the close
+    shapes: dict[tuple, tuple[list, repeat]] = {}
 
     def write_rows(rows: _Rows, inner: str) -> None:
         fields = rows.fields
-        form = forms.get((fields, inner))
-        if form is None:
+        shape = shapes.get((fields, inner))
+        if shape is None:
             nl = inner + "  "
-            keys = [(key_text.get(k) or key(k)).replace("%", "%%") for k in fields]
-            body = ("," + nl).join(k + "%s" for k in keys)
-            form = "{" + nl + body + inner + "}" if keys else "{}"
-            forms[fields, inner] = form
-        lead, sep = "[" + inner, "," + inner
-        tail = sep + form
+            heads = ["," + nl + (key_text.get(k) or key(k)) for k in fields]
+            if heads:
+                heads[0] = "," + inner + "{" + heads[0][1:]
+            shape = shapes[fields, inner] = (
+                list(map(repeat, heads)),
+                repeat(inner + "}"),
+            )
+        heads, close = shape
+        lead = "["  # leads the list's first row; "," leads each later one
         it = rows.rows()
         while batch := list(islice(it, limit)):
-            # exact ints and strs only: a bool would find the text of 0 or 1
-            if set(map(type, chain.from_iterable(batch))) <= {int, str}:
-                append(lead + form % tuple(map(text, batch[0])))
-                out.extend([tail % tuple(map(text, row)) for row in batch[1:]])
+            # exact ints and strs only: a bool would find the text of 0 or 1;
+            # rows with no field have no column to be counted by
+            if heads and set(map(type, chain.from_iterable(batch))) <= {int, str}:
+                start = len(out)
+                pieces = []
+                for head, column in zip(heads, zip(*batch)):
+                    pieces += head, map(text, column)
+                out.extend(chain.from_iterable(zip(*pieces, close)))
+                out[start] = lead + out[start][1:]
             else:
                 for row in batch:
-                    append(lead)
+                    append(lead + inner)
                     write(dict(zip(fields, row)), inner)
-                    lead = sep
-            lead = sep
+                    lead = ","
+            lead = ","
             if len(out) >= limit:
                 flush()
 

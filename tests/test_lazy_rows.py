@@ -1,5 +1,5 @@
 """The documents' long lists are made as they are read: their order, their
-re-iteration, the JSON writer's row templates, and what they hold."""
+re-iteration, the JSON writer's row pieces, and what they hold."""
 
 import gc
 import json
@@ -10,6 +10,7 @@ import pytest
 
 from whitkl import Weight, build_kl_table, build_theta_cosets
 from whitkl.cli import (
+    _CHUNK_PIECES,
     Job,
     _Below,
     _Rows,
@@ -98,6 +99,39 @@ def test_rows_of_one_shape_and_empty_rows_match_json_dumps():
         {"nested": [percent_keys, _Rows((), lambda: iter([(), ()]), 2)]},
     ]
     assert render_json(doc) == _reference_json(doc)
+
+
+# a batch of the JSON writer holds _CHUNK_PIECES rows; each of these takes
+# the generic walk (a bool or None) in one batch and the row pieces in another
+_BATCH = _CHUNK_PIECES
+_MIXED_BATCHES = {
+    "walk-then-pieces": [(True, "x")] + [(k, "y") for k in range(_BATCH + 5)],
+    "pieces-then-walk": [(k, "α") for k in range(_BATCH)] + [(0, "x"), (1, False)],
+    "pieces-walk-pieces": [(k, "z") for k in range(_BATCH)]
+    + [(None, "z")] * _BATCH
+    + [(-k, "%s") for k in range(7)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED_BATCHES))
+def test_row_pieces_and_the_generic_walk_take_turns_by_batch(case):
+    values = _MIXED_BATCHES[case]
+    doc = {"rows": _rows(*values), "after": _rows((1, "x"))}
+    text = render_json(doc)
+    assert text == _reference_json(doc)
+    # the list is opened once; every later row is led by a comma
+    assert text.count("[") == 2
+    assert text.count("},\n") == len(values) - 1
+
+
+def test_rows_of_one_field_and_rows_two_lists_deep_match_json_dumps():
+    values = [(k,) for k in range(_BATCH + 3)]
+    one = _Rows(("only",), lambda: iter(values), len(values))
+    deep = [[_rows((1, "a"), (2, "b")), _rows()], [[_rows((3, "c"))]]]
+    doc = {"one": one, "deep": deep, "again": [one, {"deep": deep}]}
+    text = render_json(doc)
+    assert text == _reference_json(doc)
+    assert json.loads(text)["one"][-1] == {"only": _BATCH + 2}
 
 
 @pytest.mark.parametrize(

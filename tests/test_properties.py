@@ -8,7 +8,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct  # noqa: E402
-from whitkl import CharacterFormula, invert_multiplicities  # noqa: E402
+from whitkl import CharacterFormula, invert_multiplicities, laurent  # noqa: E402
+from whitkl.cli import MAX_TRANSCENDENTALS, parse_lambda, weight_name  # noqa: E402
 from whitkl.klengine import (  # noqa: E402
     _decode,
     _digit_cap,
@@ -143,3 +144,41 @@ def test_inverse_times_original_is_the_identity(cf):
         for j in range(n):
             total = sum(inverse[i][k] * original[k][j] for k in range(n))
             assert total == (1 if i == j else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(-12, 12),
+        st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)),
+        max_size=8,
+    )
+)
+def test_polynomial_text_parses_back_to_the_polynomial(terms):
+    poly = LaurentPoly(terms)
+    assert laurent.parse(poly.text()) == poly
+
+
+@st.composite
+def named_weights(draw):
+    """A weight of rank 1..6 whose highest transcendental index is used,
+    since ``parse_lambda`` takes the count from the highest index it reads."""
+    rank = draw(st.integers(1, 6))
+    k = draw(st.integers(0, MAX_TRANSCENDENTALS))
+    value = st.fractions(-50, 50, max_denominator=12)
+    coords = [
+        (draw(value), [draw(value) for _ in range(k)]) for _ in range(rank)
+    ]
+    if k:
+        at = draw(st.integers(0, rank - 1))
+        coords[at][1][-1] = draw(value.filter(bool))
+    return Weight.from_values(
+        [(rational, tuple(tvec)) for rational, tvec in coords],
+        n_transcendentals=k,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_weights())
+def test_weight_name_parses_back_to_the_weight(lam):
+    assert parse_lambda(weight_name(lam), lam.rank) == lam
