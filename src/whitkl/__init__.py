@@ -9,29 +9,16 @@ from .charformula import (
     verma_mode,
 )
 from .cosetlab import (
-    CosetStep,
     IntegralData,
     IntegralModel,
     StabilizerData,
     ThetaCosets,
     build_integral_model,
     build_theta_cosets,
-    conjugate_model,
-    descent_chain,
     integral_data,
     stabilizer_data,
 )
-from .heckemodule import (
-    HeckeElt,
-    SpaceMismatchError,
-    delta,
-    global_tag,
-    model_tag,
-    restrict_lambda,
-    right_mult_simple,
-    t_alpha,
-    t_alpha_model,
-)
+from .heckemodule import HeckeElt, SpaceMismatchError, global_tag, model_tag
 from .klengine import (
     KLTable,
     build_kl_table,
@@ -55,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharacterFormula",
-    "CosetStep",
     "HeckeElt",
     "IntegralData",
     "IntegralModel",
@@ -74,9 +60,6 @@ __all__ = [
     "build_models",
     "build_root_system",
     "build_theta_cosets",
-    "conjugate_model",
-    "delta",
-    "descent_chain",
     "enumerate_group",
     "global_tag",
     "integral_data",
@@ -87,12 +70,8 @@ __all__ = [
     "phi_direct",
     "phi_transport",
     "regular_formula",
-    "restrict_lambda",
-    "right_mult_simple",
     "singular_formula",
     "stabilizer_data",
-    "t_alpha",
-    "t_alpha_model",
     "verma_mode",
     "weight_flags",
 ]

@@ -719,7 +719,12 @@ def render_json(data, sink=None):
             if len(out) >= limit:
                 flush()
 
-    write(data, "\n")
+    try:
+        write(data, "\n")
+    finally:
+        # write and write_rows reach each other and write itself through
+        # their cells: unbind both, so that a render leaves no cycle
+        write = write_rows = None
     append("\n")
     flush()
 

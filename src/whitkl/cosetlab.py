@@ -1,5 +1,5 @@
 """Right cosets and their order, integral data, cross-sections, integral
-models, conjugation transport, descent-chain search, and stabilizer data.
+models and stabilizer data.
 
 One class, ThetaCosets, holds W_J \\ W' for a Coxeter system (W', S')
 inside the Weyl group and a subset J of S': the global cosets are
@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .rootsystem import (
@@ -30,7 +29,6 @@ from .rootsystem import (
 from .weylgroup import WeylGroup
 
 __all__ = [
-    "CosetStep",
     "CosetRecord",
     "ThetaCosets",
     "IntegralData",
@@ -40,17 +38,9 @@ __all__ = [
     "build_theta_cosets",
     "integral_data",
     "build_integral_model",
-    "conjugate_model",
-    "descent_chain",
     "stabilizer_data",
     "subgroup_bruhat",
 ]
-
-
-class CosetStep(Enum):
-    RAISE = "raise"
-    FIX = "fix"
-    LOWER = "lower"
 
 
 @dataclass(frozen=True)
@@ -76,18 +66,17 @@ class ThetaCosets:
 
     Every move C -> C s is read from one table of n ids per generator, for
     n cosets: targets(s)[C] is the coset of w^C s, for C's longest element
-    w^C.  C s is C (FIX), or longer (RAISE) or shorter (LOWER) by
-    ``lengths``.  The build checks, per generator and in C-level passes,
-    that C -> C s is an involution, so a bijection, and that wherever it
-    moves C, w^C s is the longest element of C s; the element step tables
-    are not kept.
+    w^C.  C s is C, or longer or shorter than C by ``lengths``.  The
+    build checks, per generator and in C-level passes, that C -> C s is an
+    involution, so a bijection, and that wherever it moves C, w^C s is the
+    longest element of C s; the element step tables are not kept.
 
     The order is the Bruhat order of (W', S') on longest coset elements.
     It is kept as one lower ideal per coset: an int bitset over coset ids
     with bit C set iff C <= D.  Ideals are built on first use and memoised,
     from the subword property [e, w] = [e, ws] u [e, ws] s for ws < w
     (Bjorner and Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read
-    on cosets: ideal(0) = {0}, and for a LOWER step C s,
+    on cosets: ideal(0) = {0}, and for C s shorter than C,
     ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}.  Coset ids ascend with
     length, so ideal(C) has no bit above C.
 
@@ -143,18 +132,20 @@ class ThetaCosets:
         self.coset_of = coset_of
         self.n_cosets = len(cosets)
         self.w_theta_ids = frozenset(cosets[0].member_ids)
-        self._longest = longest = [c.longest for c in cosets]
+        longest = [c.longest for c in cosets]
         self.lengths = tuple(map(lengths.__getitem__, longest))
         self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
         # the records' own id objects, so no new ints, compared by identity
         ids = list(map(operator.attrgetter("id"), cosets))
-        self._targets = {s: self._moves(s, step, ids) for s, step in steps.items()}
+        self._targets = {
+            s: self._moves(s, step, ids, longest) for s, step in steps.items()
+        }
         self._powers = [1]  # powers[D] = 1 << D, for every D asked for so far
 
-    def _moves(self, s, step, ids) -> tuple[int, ...]:
+    def _moves(self, s, step, ids, longest) -> tuple[int, ...]:
         """targets(s), from the element step table of s, after the two
-        checks the class docstring names; ids lists the coset ids."""
-        longest = self._longest
+        checks the class docstring names; ids lists the coset ids and
+        longest their longest elements."""
         moved = list(map(step.__getitem__, longest))  # w^C s
         targets = list(map(self.coset_of.__getitem__, moved))
         if list(map(targets.__getitem__, targets)) != ids:
@@ -196,16 +187,6 @@ class ThetaCosets:
         """The move table of the generator s: targets(s)[C] is the id of C s."""
         return self._targets[s]
 
-    def times_simple(self, c: int, s) -> tuple[CosetStep, int]:
-        """Classify C s against C, for a generator s, and return the target,
-        reading only the move table of s and the lengths."""
-        target = self._targets[s][c]
-        if target == c:
-            return (CosetStep.FIX, c)
-        if self.lengths[target] > self.lengths[c]:
-            return (CosetStep.RAISE, target)
-        return (CosetStep.LOWER, target)
-
     def descent(self, c: int) -> tuple[int, int]:
         """(s, C s) for the first generator s that lowers C."""
         lengths = self.lengths
@@ -214,10 +195,6 @@ class ThetaCosets:
             if lengths[lower] < lengths[c]:
                 return s, lower
         raise AssertionError(f"coset {c} admits no simple descent")
-
-    def times_element(self, c: int, w: int) -> int:
-        """Coset of C w (well-defined from any member)."""
-        return self.coset_of[self.group.mult(self._longest[c], w)]
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -489,12 +466,6 @@ class IntegralModel:
         longest coset elements."""
         return self.quotient.leq(f, g)
 
-    def times_simple(self, f: int, alpha_root: int) -> tuple[CosetStep, int]:
-        """Classify F s_alpha for alpha in Pi_lambda."""
-        if alpha_root not in self.pi_lambda:
-            raise ValueError(f"root {alpha_root} is not in Pi_lambda")
-        return self.quotient.times_simple(f, alpha_root)
-
     def __repr__(self):
         return f"IntegralModel(u={self.u}, cosets={self.n_cosets})"
 
@@ -511,98 +482,6 @@ def build_integral_model(
     order: IntegralSystem | None = None,
 ) -> IntegralModel:
     return IntegralModel(tc, idata, u, order)
-
-
-def conjugate_model(model: IntegralModel, beta: int):
-    """Transport a model through the non-integral simple reflection s_beta.
-
-    Returns (model for (r, s_beta lam), mapping old model coset id -> new
-    model coset id) where the mapping is F |-> s_beta F s_beta.
-    """
-    group = model.group
-    tc = model.tc
-    lam = model.idata.lam
-    if is_integer(pair(group.rs, beta, lam)):
-        raise ValueError(f"simple root {beta} is integral to lambda")
-    s_b = group.simple_ids[beta]
-    new_lam = group.act_on_weight(s_b, lam)
-    new_idata = integral_data(group, tc.theta, new_lam)
-    j = group.mult(model.u, s_b)
-    r = tc.cosets[tc.coset_of[j]].shortest
-    if r not in new_idata.a_theta_lambda:
-        raise AssertionError("conjugated representative escaped A_Theta_lambda")
-    new_model = IntegralModel(tc, new_idata, r)
-    mapping = {}
-    for f in model.cosets:
-        x = group.mult(group.mult(s_b, f.longest), s_b)
-        mapping[f.id] = new_model.coset_of[x]
-    if len(set(mapping.values())) != model.n_cosets or model.n_cosets != new_model.n_cosets:
-        raise AssertionError("conjugation did not give a coset bijection")
-    return new_model, mapping
-
-
-def descent_chain(tc: ThetaCosets, idata: IntegralData, c: int):
-    """Find alpha in Pi_lambda and a chain of non-integral simple roots
-    realizing a model descent of C, per the descent-search procedure.
-
-    Returns (alpha_root_index, chain) with chain a list of simple indices.
-    """
-    group = tc.group
-    rs = group.rs
-    rep = _double_coset_rep(tc, idata, c)
-    if tc.coset_of[rep] == c:
-        raise ValueError(
-            "coset is the smallest in its double coset; no descent chain exists"
-        )
-    chain: list[int] = []
-    z = 0
-    cur_c = c
-    cur_lam = idata.lam
-    cur_pi = set(idata.pi_lambda)
-    # the chain strictly shortens the coset, so this terminates
-    while True:
-        found = None
-        for i in range(rs.rank):
-            if i not in cur_pi:
-                continue
-            step, target = tc.times_simple(cur_c, i)
-            if step is CosetStep.LOWER:
-                found = i
-                break
-        if found is not None:
-            alpha = group.act_on_root(z, found)
-            if alpha not in idata.pi_lambda:
-                raise AssertionError("transported descent left Pi_lambda")
-            return alpha, chain
-        extended = False
-        for b in range(rs.rank):
-            if is_integer(pair(rs, b, cur_lam)):
-                continue
-            step, target = tc.times_simple(cur_c, b)
-            if step is CosetStep.LOWER:
-                chain.append(b)
-                z = group.mult(z, group.simple_ids[b])
-                cur_c = target
-                cur_lam = group.act_on_weight(group.simple_ids[b], cur_lam)
-                cur_pi = set(
-                    _simple_roots_of(rs, _integral_positive_roots(rs, cur_lam))
-                )
-                extended = True
-                break
-        if not extended:
-            raise AssertionError("descent-chain search is stuck; this contradicts "
-                                 "the termination guarantee")
-
-
-def _double_coset_rep(tc: ThetaCosets, idata: IntegralData, c: int) -> int:
-    """The A_Theta_lambda representative of the double coset containing C."""
-    group = tc.group
-    for u in idata.a_theta_lambda:
-        # C is in W_Theta u W_lambda iff the u-translate of some v hits C
-        for v in idata.w_lambda_ids:
-            if tc.coset_of[group.mult(u, v)] == c:
-                return u
-    raise AssertionError(f"coset {c} not covered by any double coset")
 
 
 @dataclass(frozen=True)

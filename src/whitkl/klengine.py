@@ -263,13 +263,6 @@ def _digit_cap() -> int:
     return 1 << k
 
 
-def _encode(poly: LaurentPoly) -> int:
-    """poly, in Z[q], at q = 2**B."""
-    if any(e < 0 for e, _ in poly.items()):
-        raise ValueError(f"{poly.text()} is not in Z[q]")
-    return sum(c << _DIGIT_BITS * e for e, c in poly.items())
-
-
 def _decode(packed: int, cap: int) -> LaurentPoly:
     """The polynomial whose balanced base-2**B digits are packed's; a digit
     above cap in size raises AssertionError."""
@@ -353,7 +346,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
                 out[cid] = out.get(cid, 0) + shifted
                 out[target] = out.get(target, 0) + p
             xi = _subtract_mu(
-                out, lengths[f], rows.__getitem__, lengths.__getitem__, constant
+                out, lengths[f], rows.__getitem__, lengths.__getitem__, constant, _submul
             )
             _assert_kl_shape(xi, f, quotient.ideal(f), 1, in_qzq)
         rows[f] = {g: canon.setdefault(p, p) for g, p in xi.items()}
@@ -366,10 +359,6 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     }
 
 
-def _constant_term(poly: LaurentPoly) -> int:
-    return poly.coeff(0)
-
-
 def _submul(a, b, mu):
     """a - mu * b, for `LaurentPoly` and for Path A's packed ints."""
     return a - b * mu
@@ -380,8 +369,8 @@ def _subtract_mu(
     top_length: int,
     basis,
     length,
-    constant=_constant_term,
-    submul=_submul,
+    constant,
+    submul,
 ) -> dict:
     """The row xi (coset -> coefficient) with its constant terms below
     top_length cleared.
@@ -394,8 +383,8 @@ def _subtract_mu(
 
     The walk works on a copy of xi without its zero coefficients, in any
     ring, given its constant-term function and its submul(a, b, mu) =
-    a - mu * b, where a = 0 stands for an absent coefficient:
-    `LaurentPoly`, Path A's packed ints or Path B's coefficient tuples.
+    a - mu * b, where a = 0 stands for an absent coefficient: Path A's
+    packed ints or Path B's coefficient tuples.
     """
     coeffs = {d: p for d, p in xi.items() if p}
     # D of length ell is keyed D - ell * 2**32, so the heap pops the longest

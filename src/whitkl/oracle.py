@@ -1,35 +1,62 @@
 """Independent brute-force checks: subword Bruhat order, classical
 Kazhdan-Lusztig polynomials via R-polynomials, and definition-level
-recomputation of cosets, cross-sections and integral models.
+recomputation of cosets, cross-sections and integral models; and the
+devices the paper's Sec. 3 proofs use, as references on the production
+tables: the three-case operators T_alpha, restriction to the integral
+models, conjugation through non-integral walls and descent chains.
 
-Everything here deliberately avoids the production code paths (descent
+The checks deliberately avoid the production code paths (descent
 recursions, lifting-property order, orbit-closure cosets) so that a shared
-bug cannot hide.  Neither the package nor the pipeline imports this
-module, and the CLI loads it only for `verify`; only
-`kl_classical_relation_check` calls the engine, to compare its output
-with `classical_kl`.  Speed is a non-goal.
+bug cannot hide.  The Sec. 3 devices read the coset tables the pipeline
+builds (``ThetaCosets.targets``, ``lengths``, ``coset_of``) and apply
+each device by its definition, element by element.  Neither the package
+nor the pipeline imports this module, and the CLI loads it only for
+`verify`; only `kl_classical_relation_check` calls the engine, to compare
+its output with `classical_kl`.  Speed is a non-goal.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from enum import Enum
 
-from .cosetlab import IntegralData, ThetaCosets
-from .klengine import build_kl_table
+from .cosetlab import (
+    IntegralData,
+    IntegralModel,
+    ThetaCosets,
+    _integral_positive_roots,
+    _simple_roots_of,
+    integral_data,
+)
+from .heckemodule import HeckeElt, SpaceMismatchError, _trusted_elt, global_tag, model_tag
+from .klengine import _DIGIT_BITS, build_kl_table
 from .laurent import LaurentPoly
 from .rootsystem import Weight, is_integer, pair, weight_flags
 from .weylgroup import WeylGroup
 
 __all__ = [
     "Check",
+    "CosetStep",
     "OracleReport",
     "bruhat_subword",
     "classical_kl",
+    "conjugate_model",
+    "delta",
+    "descent_chain",
+    "inversion_set",
     "kl_classical_relation_check",
+    "longest_element_of_parabolic",
     "recompute_cosets",
     "model_order_reflection_chains",
+    "restrict_lambda",
+    "right_mult_simple",
     "root_images",
+    "t_alpha",
+    "t_alpha_model",
+    "times_element",
+    "times_simple",
 ]
 
 SUBWORD_LENGTH_CAP = 12
@@ -405,3 +432,217 @@ def _sigma_lambda_all(group: WeylGroup, lam) -> frozenset[int]:
     return frozenset(
         r for r in range(rs.positive_root_count) if is_integer(pair(rs, r, lam))
     )
+
+
+# -- the Sec. 3 devices, on the production tables ----------------------
+
+
+class CosetStep(Enum):
+    RAISE = "raise"
+    FIX = "fix"
+    LOWER = "lower"
+
+
+def times_simple(tc: ThetaCosets, c: int, s) -> tuple[CosetStep, int]:
+    """Classify C s against C, for a generator s, and return the target,
+    reading only the move table of s and the lengths."""
+    target = tc.targets(s)[c]
+    if target == c:
+        return (CosetStep.FIX, c)
+    if tc.lengths[target] > tc.lengths[c]:
+        return (CosetStep.RAISE, target)
+    return (CosetStep.LOWER, target)
+
+
+def times_element(tc: ThetaCosets, c: int, w: int) -> int:
+    """Coset of C w (well-defined from any member)."""
+    return tc.coset_of[tc.group.mult(tc.cosets[c].longest, w)]
+
+
+def inversion_set(group: WeylGroup, w: int) -> frozenset[int]:
+    """The positive roots beta with w(beta) < 0, by the signs of
+    <beta^vee, w^-1 rho> on the group's key of w."""
+    key = group._keys[w]
+    positive = group.rs.coroot_coords[: group.rs.positive_root_count]
+    return frozenset(
+        r for r, c in enumerate(positive) if sum(map(operator.mul, c, key)) < 0
+    )
+
+
+def longest_element_of_parabolic(group: WeylGroup, subset) -> int:
+    w = 0
+    while True:
+        for i in sorted(subset):
+            if group._keys[w][i] > 0:
+                w = group.right_table[w][i]
+                break
+        else:
+            return w
+
+
+def delta(tag, cid: int) -> HeckeElt:
+    return HeckeElt(tag, {cid: LaurentPoly.one()})
+
+
+def _own_tag(x: HeckeElt, tag):
+    """x's tag, after checking that it equals tag.  The operators give
+    their result this tag object, so the elements derived from one `delta`
+    share it and pass the tag check in `+`/`-` on identity."""
+    if x.tag is not tag and x.tag != tag:
+        raise SpaceMismatchError(f"element tagged {x.tag} is not in {tag}")
+    return x.tag
+
+
+def _apply_three_case(x: HeckeElt, tc: ThetaCosets, s, tag) -> HeckeElt:
+    out: dict[int, LaurentPoly] = {}
+    for cid, poly in x.coeffs.items():
+        step, target = times_simple(tc, cid, s)
+        if step is CosetStep.FIX:
+            continue
+        shifted = poly.shift(1 if step is CosetStep.RAISE else -1)
+        prev = out.get(cid)
+        out[cid] = shifted if prev is None else prev + shifted
+        prev = out.get(target)
+        out[target] = poly if prev is None else prev + poly
+    return HeckeElt(tag, out)
+
+
+def t_alpha(tc: ThetaCosets, alpha: int, x: HeckeElt) -> HeckeElt:
+    """T_alpha on the global module: q d_C + d_{C s} / 0 / q^-1 d_C + d_{C s}."""
+    tag = _own_tag(x, global_tag(tc))
+    return _apply_three_case(x, tc, alpha, tag)
+
+
+def t_alpha_model(model: IntegralModel, alpha_root: int, x: HeckeElt) -> HeckeElt:
+    """The same three-case operator inside one integral model."""
+    if alpha_root not in model.pi_lambda:
+        raise ValueError(f"root {alpha_root} is not in Pi_lambda")
+    tag = _own_tag(x, model_tag(model))
+    return _apply_three_case(x, model.quotient, alpha_root, tag)
+
+
+def right_mult_simple(tc: ThetaCosets, x: HeckeElt, i: int) -> HeckeElt:
+    """Relabel basis indices by C -> C s_i (the right W-action on labels).
+
+    ``ThetaCosets`` checks at build that C -> C s_i is an involution, so no
+    two coefficients meet.
+    """
+    tag = _own_tag(x, global_tag(tc))
+    targets = tc.targets(i)
+    return _trusted_elt(tag, {targets[cid]: poly for cid, poly in x.coeffs.items()})
+
+
+def restrict_lambda(
+    tc: ThetaCosets,
+    idata: IntegralData,
+    models: list[IntegralModel],
+    x: HeckeElt,
+) -> list[HeckeElt]:
+    """Split along double cosets and relabel into each integral model."""
+    _own_tag(x, global_tag(tc))
+    pieces = []
+    seen: set[int] = set()
+    for model in models:
+        coeffs = {}
+        for cid, poly in x.coeffs.items():
+            f = model.restrict.get(cid)
+            if f is not None:
+                coeffs[f] = poly
+                seen.add(cid)
+        pieces.append(HeckeElt(model_tag(model), coeffs))
+    missing = set(x.coeffs) - seen
+    if missing:
+        raise ValueError(f"coset ids {sorted(missing)} not covered by any model")
+    return pieces
+
+
+def conjugate_model(model: IntegralModel, beta: int):
+    """Transport a model through the non-integral simple reflection s_beta.
+
+    Returns (model for (r, s_beta lam), mapping old model coset id -> new
+    model coset id) where the mapping is F |-> s_beta F s_beta.
+    """
+    group = model.group
+    tc = model.tc
+    lam = model.idata.lam
+    if is_integer(pair(group.rs, beta, lam)):
+        raise ValueError(f"simple root {beta} is integral to lambda")
+    s_b = group.simple_ids[beta]
+    new_lam = group.act_on_weight(s_b, lam)
+    new_idata = integral_data(group, tc.theta, new_lam)
+    j = group.mult(model.u, s_b)
+    r = tc.cosets[tc.coset_of[j]].shortest
+    if r not in new_idata.a_theta_lambda:
+        raise AssertionError("conjugated representative escaped A_Theta_lambda")
+    new_model = IntegralModel(tc, new_idata, r)
+    mapping = {}
+    for f in model.cosets:
+        x = group.mult(group.mult(s_b, f.longest), s_b)
+        mapping[f.id] = new_model.coset_of[x]
+    if len(set(mapping.values())) != model.n_cosets or model.n_cosets != new_model.n_cosets:
+        raise AssertionError("conjugation did not give a coset bijection")
+    return new_model, mapping
+
+
+def descent_chain(tc: ThetaCosets, idata: IntegralData, c: int):
+    """Find alpha in Pi_lambda and a chain of non-integral simple roots
+    realizing a model descent of C, per the descent-search procedure.
+
+    Returns (alpha_root_index, chain) with chain a list of simple indices.
+    """
+    group = tc.group
+    rs = group.rs
+    rep = _double_coset_rep(tc, idata, c)
+    if tc.coset_of[rep] == c:
+        raise ValueError(
+            "coset is the smallest in its double coset; no descent chain exists"
+        )
+    chain: list[int] = []
+    z = 0
+    cur_c = c
+    cur_lam = idata.lam
+    cur_pi = set(idata.pi_lambda)
+    # the chain strictly shortens the coset, so this terminates
+    while True:
+        for i in range(rs.rank):
+            if i in cur_pi and times_simple(tc, cur_c, i)[0] is CosetStep.LOWER:
+                alpha = group.act_on_root(z, i)
+                if alpha not in idata.pi_lambda:
+                    raise AssertionError("transported descent left Pi_lambda")
+                return alpha, chain
+        for b in range(rs.rank):
+            if is_integer(pair(rs, b, cur_lam)):
+                continue
+            step, target = times_simple(tc, cur_c, b)
+            if step is CosetStep.LOWER:
+                chain.append(b)
+                z = group.mult(z, group.simple_ids[b])
+                cur_c = target
+                cur_lam = group.act_on_weight(group.simple_ids[b], cur_lam)
+                cur_pi = set(
+                    _simple_roots_of(rs, _integral_positive_roots(rs, cur_lam))
+                )
+                break
+        else:
+            raise AssertionError(
+                "descent-chain search is stuck; this contradicts the "
+                "termination guarantee"
+            )
+
+
+def _double_coset_rep(tc: ThetaCosets, idata: IntegralData, c: int) -> int:
+    """The A_Theta_lambda representative of the double coset containing C."""
+    group = tc.group
+    for u in idata.a_theta_lambda:
+        # C is in W_Theta u W_lambda iff the u-translate of some v hits C
+        for v in idata.w_lambda_ids:
+            if tc.coset_of[group.mult(u, v)] == c:
+                return u
+    raise AssertionError(f"coset {c} not covered by any double coset")
+
+
+def _encode(poly: LaurentPoly) -> int:
+    """poly, in Z[q], at q = 2**B: the packing ``klengine`` decodes."""
+    if any(e < 0 for e, _ in poly.items()):
+        raise ValueError(f"{poly.text()} is not in Z[q]")
+    return sum(c << _DIGIT_BITS * e for e, c in poly.items())

@@ -176,7 +176,7 @@ class WeylGroup:
         )
         return self._by_key[key]
 
-    # -- descents and inversions -----------------------------------------
+    # -- root signs and subgroups ----------------------------------------
 
     def positive_on(self, roots) -> list[int]:
         """Ids w, ascending and so by length, with w(beta) > 0 for beta in roots."""
@@ -190,23 +190,6 @@ class WeylGroup:
     def descents_right(self, w: int) -> frozenset[int]:
         """{i : w s_i < w} = {i : w(alpha_i) < 0}: the negative key entries."""
         return frozenset(i for i, x in enumerate(self._keys[w]) if x < 0)
-
-    def inversion_set(self, w: int) -> frozenset[int]:
-        key = self._keys[w]
-        positive = self.rs.coroot_coords[: self.rs.positive_root_count]
-        return frozenset(
-            r for r, c in enumerate(positive) if sum(map(operator.mul, c, key)) < 0
-        )
-
-    def longest_element_of_parabolic(self, subset) -> int:
-        w = 0
-        while True:
-            for i in sorted(subset):
-                if self._keys[w][i] > 0:
-                    w = self.right_table[w][i]
-                    break
-            else:
-                return w
 
     def subgroup_closure(self, generator_ids) -> frozenset[int]:
         seen = {0}

@@ -11,6 +11,31 @@ import pytest
 from whitkl import Weight, build_root_system, enumerate_group
 
 
+def assert_same_text(got, expected, context: int = 60):
+    """Fail unless got == expected, naming the first offset where they
+    differ with up to context characters of each around it.
+
+    Unlike a bare ``assert got == expected``, a failure does not make
+    pytest diff two whole documents: the offset is found by bisection on
+    prefixes, each compared in C.
+    """
+    if got == expected:
+        return
+    lo, hi = 0, min(len(got), len(expected))
+    while lo < hi:  # got[:lo] == expected[:lo]; the first difference is <= hi
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == expected[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(0, lo - context)
+    raise AssertionError(
+        f"texts differ at offset {lo} (lengths {len(got)} and {len(expected)}):\n"
+        f"  got      {got[start:lo + context]!r}\n"
+        f"  expected {expected[start:lo + context]!r}"
+    )
+
+
 @lru_cache(maxsize=None)
 def get_group(type_letter: str, rank: int):
     return enumerate_group(build_root_system(type_letter, rank))

@@ -18,23 +18,30 @@ from whitkl import (
     build_integral_model,
     build_kl_table,
     build_theta_cosets,
-    conjugate_model,
-    descent_chain,
     integral_data,
     phi_direct,
     regular_formula,
     singular_formula,
     stabilizer_data,
-    t_alpha_model,
     verma_mode,
 )
-from whitkl.cosetlab import CosetStep, _double_coset_rep, subgroup_bruhat
-from whitkl.heckemodule import delta, model_tag, restrict_lambda, t_alpha
+from whitkl.cosetlab import subgroup_bruhat
+from whitkl.heckemodule import model_tag
 from whitkl.oracle import (
+    CosetStep,
+    _double_coset_rep,
     classical_kl,
+    conjugate_model,
+    delta,
+    descent_chain,
     kl_classical_relation_check,
     recompute_cosets,
+    restrict_lambda,
     root_images,
+    t_alpha,
+    t_alpha_model,
+    times_element,
+    times_simple,
 )
 from whitkl.rootsystem import is_integer, pair, weight_flags
 
@@ -227,8 +234,8 @@ def _check_conjugation_squares(group, tc, idata, models):
                     assert model.leq(f, g) == new_model.leq(mapping[f], mapping[g])
             # ind square: ind_{s_b lam}(s_b F s_b) = ind_lam(F) . s_b
             for f in range(model.n_cosets):
-                assert new_model.ind[mapping[f]] == tc.times_simple(
-                    model.ind[f], beta
+                assert new_model.ind[mapping[f]] == times_simple(
+                    tc, model.ind[f], beta
                 )[1]
             # T-operator square through the transport
             s_b = group.simple_ids[beta]
@@ -289,16 +296,16 @@ def _check_descent_chains(group, tc, idata, models):
         assert z_inv_alpha in _pi_of(group, cur)
         # (c) C s_alpha strictly below C in the model order
         model = model_of[c]
-        c_alpha = tc.times_element(c, group.reflection(alpha))
+        c_alpha = times_element(tc, c, group.reflection(alpha))
         f, g = model.restrict[c_alpha], model.restrict[c]
         assert model.leq(f, g) and f != g
         # (d) the chain strictly lowers C
-        cz = tc.times_element(c, z)
+        cz = times_element(tc, c, z)
         if chain:
             assert tc.leq(cz, c) and cz != c
         # (e) C s_alpha z = C z s_{z^-1 alpha} < C z
-        lhs = tc.times_element(c_alpha, z)
-        assert lhs == tc.times_element(cz, group.reflection(z_inv_alpha))
+        lhs = times_element(tc, c_alpha, z)
+        assert lhs == times_element(tc, cz, group.reflection(z_inv_alpha))
         assert tc.leq(lhs, cz) and lhs != cz
 
 
@@ -423,7 +430,7 @@ def test_criterion_7_descent_independence():
             psi = table.psi[model.u]
             for f in range(model.n_cosets):
                 for r in model.pi_lambda:
-                    step, lower = model.times_simple(f, r)
+                    step, lower = times_simple(model.quotient, f, r)
                     if step is not CosetStep.LOWER:
                         continue
                     xi = t_alpha_model(model, r, psi[lower])

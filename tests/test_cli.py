@@ -29,7 +29,7 @@ from whitkl.cli import (
     run_klpolys,
 )
 
-from conftest import lambda_golden_a3
+from conftest import assert_same_text, lambda_golden_a3
 
 GOLDEN_A3_ARGS = [
     "--type",
@@ -200,7 +200,8 @@ def test_json_round_trip(capsys):
     assert polys[(1, 0)] == LaurentPoly.q()
     assert polys[(0, 0)] == LaurentPoly.one()
     # re-rendering the loaded JSON reproduces the bytes
-    assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out
+    reloaded = json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+    assert_same_text(reloaded, out)
 
 
 def test_latex_klpolys(capsys):
@@ -398,7 +399,7 @@ def test_render_json_matches_json_dumps_golden_a3(command):
         data = run_characters(
             job, invert="--invert" in flags, verma="--verma" in flags
         )
-    assert render_json(data) == _reference_json(data)
+    assert_same_text(render_json(data), _reference_json(data))
 
 
 def test_render_json_matches_json_dumps_edge_cases():
@@ -420,9 +421,9 @@ def test_render_json_matches_json_dumps_edge_cases():
         "mixed": [1, {"a": [2, {"b": None}]}, "c"],
         "keys": {Name("κ"): 3},
     }
-    assert render_json(data) == _reference_json(data)
+    assert_same_text(render_json(data), _reference_json(data))
     for value in [None, True, 0, -3, "α", "", [], {}, (), [None], {"k": []}]:
-        assert render_json(value) == _reference_json(value)
+        assert_same_text(render_json(value), _reference_json(value))
 
 
 def test_render_json_rejects_what_json_dumps_rejects():
@@ -529,8 +530,8 @@ def test_multi_chunk_json_matches_json_dumps(capsys, b4_characters):
     )
     assert code == 0, err
     text = render_json(data)
-    assert out == text
-    assert text == _reference_json(data)
+    assert_same_text(out, text)
+    assert_same_text(text, _reference_json(data))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ re-iteration, the JSON writer's row pieces, and what they hold."""
 
 import gc
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -21,11 +22,24 @@ from whitkl.cli import (
     run_klpolys,
 )
 
-from conftest import get_group, lambda_golden_a3
+from conftest import assert_same_text, get_group, lambda_golden_a3
 
 
 def _reference_json(data) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_text_comparison_names_the_first_differing_offset_fast():
+    expected = "".join(chr(32 + k % 90) for k in range(2**20))
+    got = expected[:700_001] + "\u03b1" + expected[700_002:]
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match=r"offset 700001 \(lengths 1048576 and"):
+        assert_same_text(got, expected)
+    with pytest.raises(AssertionError, match=r"offset 1048576 \(lengths 1048577 and"):
+        assert_same_text(expected + "x", expected)
+    with pytest.raises(AssertionError, match="offset 0 "):
+        assert_same_text("", "x")
+    assert time.perf_counter() - start < 5
 
 
 KL_CASES = {
@@ -86,7 +100,7 @@ def test_rows_of_bools_among_ints_match_json_dumps():
         "none": _rows((0, None), (True, None)),
     }
     text = render_json(doc)
-    assert text == _reference_json(doc)
+    assert_same_text(text, _reference_json(doc))
     assert '"a": true' in text and '"a": false' in text
 
 
@@ -98,7 +112,7 @@ def test_rows_of_one_shape_and_empty_rows_match_json_dumps():
         _rows((3, "α"), (-(10**30), "α")),
         {"nested": [percent_keys, _Rows((), lambda: iter([(), ()]), 2)]},
     ]
-    assert render_json(doc) == _reference_json(doc)
+    assert_same_text(render_json(doc), _reference_json(doc))
 
 
 # a batch of the JSON writer holds _CHUNK_PIECES rows; each of these takes
@@ -118,7 +132,7 @@ def test_row_pieces_and_the_generic_walk_take_turns_by_batch(case):
     values = _MIXED_BATCHES[case]
     doc = {"rows": _rows(*values), "after": _rows((1, "x"))}
     text = render_json(doc)
-    assert text == _reference_json(doc)
+    assert_same_text(text, _reference_json(doc))
     # the list is opened once; every later row is led by a comma
     assert text.count("[") == 2
     assert text.count("},\n") == len(values) - 1
@@ -130,7 +144,7 @@ def test_rows_of_one_field_and_rows_two_lists_deep_match_json_dumps():
     deep = [[_rows((1, "a"), (2, "b")), _rows()], [[_rows((3, "c"))]]]
     doc = {"one": one, "deep": deep, "again": [one, {"deep": deep}]}
     text = render_json(doc)
-    assert text == _reference_json(doc)
+    assert_same_text(text, _reference_json(doc))
     assert json.loads(text)["one"][-1] == {"only": _BATCH + 2}
 
 
@@ -149,7 +163,7 @@ def test_rows_holding_other_types_raise_as_the_generic_walk(value, type_name):
 
 def test_int_lists_written_in_one_join_match_json_dumps():
     doc = [[0, -1, 10**40], [1, True, 2], [3, "4"], (5, 6), [[7], 8]]
-    assert render_json(doc) == _reference_json(doc)
+    assert_same_text(render_json(doc), _reference_json(doc))
     with pytest.raises(TypeError, match=r"\b_Count\b"):
         render_json([1, _Count(2)])
 
@@ -187,7 +201,7 @@ def test_below_lists_follow_the_coset_order(case, command):
     letter, rank, theta, lam = BELOW_CASES[case]
     data = BELOW_COMMANDS[command](Job(letter, rank, theta, lam))
     text = render_json(data)
-    assert text == _reference_json(data)
+    assert_same_text(text, _reference_json(data))
     assert '"below": []' in text
     tc = build_theta_cosets(get_group(letter, rank), theta)
     assert len(data["cosets"]) == tc.n_cosets > 1
@@ -210,6 +224,18 @@ def test_below_wider_than_every_id_text_so_far_matches_json_dumps():
         "again": [_Below(1 << 9), _Below((1 << 2000) - 1)],
     }
     text = render_json(doc)
-    assert text == _reference_json(doc)
+    assert_same_text(text, _reference_json(doc))
     assert json.loads(text)["wide"] == [0, 4, 700, 1500]
     assert json.loads(text)["again"][1] == list(range(2000))
+
+
+def test_a_render_leaves_no_cycle_for_the_collector():
+    data = run_characters(Job("A", 3, (), Weight.minus_rho(3)))
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in (data, {"a": [1, 2]}, {"rows": _rows((1, "x"), (True, None))}):
+            render_json(doc)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -14,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 import whitkl.klengine
-from whitkl import Weight, build_kl_table, t_alpha_model
+from whitkl import Weight, build_kl_table
 from whitkl.cli import Job, run_cosets, run_info
-from whitkl.heckemodule import SpaceMismatchError, delta, model_tag
+from whitkl.heckemodule import SpaceMismatchError, model_tag
+from whitkl.oracle import delta, t_alpha_model
 
 from conftest import get_group, lambda_golden_a3
 

@@ -15,7 +15,8 @@ import pytest
 import whitkl.klengine as klengine
 from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct
 from whitkl.cli import main
-from whitkl.klengine import _decode, _digit_cap, _encode
+from whitkl.klengine import _decode, _digit_cap
+from whitkl.oracle import _encode
 
 from conftest import get_group
 

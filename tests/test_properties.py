@@ -13,7 +13,6 @@ from whitkl.cli import MAX_TRANSCENDENTALS, parse_lambda, weight_name  # noqa: E
 from whitkl.klengine import (  # noqa: E402
     _decode,
     _digit_cap,
-    _encode,
     _trimmed,
     _tuple_add,
     _tuple_decode,
@@ -21,6 +20,7 @@ from whitkl.klengine import (  # noqa: E402
     _tuple_submul,
     _tuple_times_q,
 )
+from whitkl.oracle import _encode  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 

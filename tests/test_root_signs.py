@@ -14,7 +14,7 @@ import pytest
 
 from whitkl.cli import parse_lambda
 from whitkl.cosetlab import IntegralSystem, integral_data
-from whitkl.oracle import root_images
+from whitkl.oracle import inversion_set, root_images
 from whitkl.rootsystem import pair
 
 from conftest import get_group
@@ -31,7 +31,7 @@ def test_signs_and_actions_match_root_images(letter, rank, stride):
     lam = parse_lambda(",".join(f"-{i + 1}/3+{i}*t1" for i in range(rank)), rank)
     for w in range(0, g.size, stride):
         images = root_images(g, w)
-        assert g.inversion_set(w) == frozenset(r for r in range(p) if images[r] >= p)
+        assert inversion_set(g, w) == frozenset(r for r in range(p) if images[r] >= p)
         assert g.descents_right(w) == frozenset(
             i for i in range(rank) if images[i] >= p
         )
