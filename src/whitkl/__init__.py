@@ -6,7 +6,6 @@ from .charformula import (
     invert_multiplicities,
     regular_formula,
     singular_formula,
-    verma_mode,
 )
 from .cosetlab import (
     IntegralData,
@@ -72,6 +71,5 @@ __all__ = [
     "regular_formula",
     "singular_formula",
     "stabilizer_data",
-    "verma_mode",
     "weight_flags",
 ]

@@ -26,16 +26,14 @@ from itertools import compress, repeat
 from operator import is_
 
 from .cosetlab import StabilizerData
-from .klengine import KLTable, build_kl_table
-from .rootsystem import Weight, require_antidominant
-from .weylgroup import WeylGroup
+from .klengine import KLTable
+from .rootsystem import require_antidominant
 
 __all__ = [
     "CharacterFormula",
     "regular_formula",
     "invert_multiplicities",
     "singular_formula",
-    "verma_mode",
     "verma_formula",
 ]
 
@@ -70,10 +68,11 @@ def _regular(kl: KLTable, label_kind: str, labels: list[int]) -> CharacterFormul
     hands out one int object per label, however many entries name it."""
     require_antidominant(kl.group.rs, kl.lam, allow_zero=False)
     label_of = labels.__getitem__
+    phi = kl.phi
     values: dict[int, int] = {}
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for c, label in enumerate(labels):
-        coeffs = kl.phi[c].coeffs
+        coeffs = phi[c].coeffs
         ds = sorted(coeffs, key=label_of)
         at = _at_minus_one(list(map(coeffs.__getitem__, ds)), values)
         rows[label] = tuple(zip(compress(map(label_of, ds), at), compress(at, at)))
@@ -203,25 +202,20 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     if len(rep_of_coset) != tc.n_cosets:
         raise AssertionError("stabilizer double cosets do not cover all cosets")
     labels = tuple(stab.a_theta_stab)
+    phi = kl.phi
     values: dict[int, int] = {}
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for v in labels:
         c = tc.coset_of[v]
         if tc.cosets[c].shortest != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
-        coeffs = kl.phi[c].coeffs
+        coeffs = phi[c].coeffs
         acc: dict[int, int] = {}
         for d, value in zip(coeffs, _at_minus_one(list(coeffs.values()), values)):
             z = rep_of_coset[d]
             acc[z] = acc.get(z, 0) + value
         rows[v] = tuple(sorted((z, coeff) for z, coeff in acc.items() if coeff))
     return CharacterFormula("singular", "element", labels, rows)
-
-
-def verma_mode(group: WeylGroup, lam: Weight) -> CharacterFormula:
-    """The full pipeline with empty Theta; labels are group elements."""
-    require_antidominant(group.rs, lam, allow_zero=False)
-    return verma_formula(build_kl_table(group, (), lam))
 
 
 def verma_formula(kl: KLTable) -> CharacterFormula:

@@ -409,11 +409,15 @@ def run_verify(job):
         bruhat_subword,
         kl_classical_relation_check,
         recompute_cosets,
+        recompute_subgroups,
     )
 
     group = job.group
     report = OracleReport()
     scope = f"{job.rs.type_letter}{job.rs.rank}"
+    # at every rank, before the Theta-empty order below is built
+    if job.lam is not None:
+        report.checks.extend(recompute_subgroups(group, job.lam).checks)
     # the pipeline's Bruhat order (Theta-empty cosets) against the subword oracle
     if group.size <= 48:
         pairs = [(v, w) for v in range(group.size) for w in range(group.size)]

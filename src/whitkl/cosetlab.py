@@ -11,12 +11,9 @@ derived tables are deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .rootsystem import (
     RootSystem,
@@ -231,131 +228,90 @@ class IntegralData:
     w_lambda_ids: frozenset[int]
     a_lambda: tuple[int, ...]
     a_theta_lambda: tuple[int, ...]
+    # (W_lambda, Pi_lambda) as ``_reflection_subgroup`` gives it
+    lengths: dict[int, int] = field(compare=False, repr=False)
+    steps: dict[int, list[int | None]] = field(compare=False, repr=False)
 
 
-def _integral_positive_roots(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
-    return tuple(
-        r for r in range(rs.positive_root_count) if is_integer(pair(rs, r, lam))
-    )
+def _positive_roots(rs: RootSystem, lam: Weight, test) -> tuple[int, ...]:
+    """The positive roots r with test(<r^vee, lam>): is_integer or is_zero."""
+    return tuple(r for r in range(rs.positive_root_count) if test(pair(rs, r, lam)))
 
 
 def _simple_roots_of(rs: RootSystem, positive_indices) -> tuple[int, ...]:
-    coords = {rs.roots[r]: r for r in positive_indices}
-    simple = []
-    for r in positive_indices:
-        target = rs.roots[r]
-        decomposable = any(
-            tuple(t - s for t, s in zip(target, other)) in coords
-            for other in coords
-            if other != target
-        )
-        if not decomposable:
-            simple.append(r)
-    return tuple(simple)
+    """The positive roots given that are no sum of two of them."""
+    coords = {rs.roots[r] for r in positive_indices}
+    return tuple(
+        r
+        for r in positive_indices
+        if not any(tuple(map(operator.sub, rs.roots[r], c)) in coords for c in coords)
+    )
 
 
-def _cartan_inverse(cartan):
-    """Exact inverse of a Cartan matrix, via Gauss-Jordan elimination."""
-    n = len(cartan)
-    a = [[Fraction(cartan[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = 1 / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+def _reflection_subgroup(group: WeylGroup, simple_roots):
+    """(lengths, steps) of the subgroup generated by the reflections s_r of
+    simple_roots, by one breadth-first pass from e over w -> w s_r: lengths[w]
+    is w's length over them, and steps[r][w] = w s_r, by id (None outside)."""
+    reflections = {r: group.reflection(r) for r in simple_roots}
+    steps = {r: [None] * group.size for r in reflections}
+    lengths = {0: 0}
+    layer = [0]
+    while layer:
+        nxt = []
+        for w in layer:
+            for r, s_r in reflections.items():
+                x = steps[r][w] = group.mult(w, s_r)
+                if x not in lengths:
+                    lengths[x] = lengths[w] + 1
+                    nxt.append(x)
+        layer = nxt
+    return lengths, steps
 
 
-@functools.cache
-def _integer_cartan_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(e, e * cartan^-1) for the least e making it an integer matrix; one
-    elimination per Cartan matrix."""
-    inv = _cartan_inverse(cartan)
-    e = math.lcm(*(x.denominator for row in inv for x in row))
-    return e, tuple(tuple(int(x * e) for x in row) for row in inv)
-
-
-def _root_lattice_stabilizer(group: WeylGroup, lam: Weight) -> frozenset[int]:
-    """{w : w lam - lam in Z.Sigma}, read off the integer orbit of lam.
-
-    With rows[w] = den * (coroot values of w lam) as in
-    ``WeylGroup.weight_orbit``, let d = rows[w] - rows[0].  Then
-    w lam - lam lies in Z.Sigma iff the transcendental parts of d vanish
-    and cartan^-1 applied to its rational parts, divided by den, is
-    integral: iff e * cartan^-1 * d is divisible by e * den, for the least
-    e making e * cartan^-1 an integer matrix.
-    """
-    e, e_inv = _integer_cartan_inverse(group.rs.cartan_matrix)
-    den, rows = group.weight_orbit(lam)
-    modulus = e * den
-    stride = 1 + lam.n_transcendentals
-    base = rows[0]
-    base_rational = base[::stride]
-    base_t = [base[t::stride] for t in range(1, stride)]
-    members = []
-    for w, row in enumerate(rows):
-        if any(row[t::stride] != bt for t, bt in enumerate(base_t, 1)):
-            continue
-        d = [x - b for x, b in zip(row[::stride], base_rational)]
-        if all(sum(map(operator.mul, e_row, d)) % modulus == 0 for e_row in e_inv):
-            members.append(w)
-    return frozenset(members)
+def _reflection_data(group: WeylGroup, theta, positive_roots):
+    """For the positive roots of a root subsystem: (its simple roots, their
+    ``_reflection_subgroup``'s lengths and steps, the cross-section
+    {u : u(positive_roots) > 0}, its members shortest in W_Theta u)."""
+    simple = _simple_roots_of(group.rs, positive_roots)
+    lengths, steps = _reflection_subgroup(group, simple)
+    # u(positive_roots) > 0 iff u(simple) > 0; ids ascend with length
+    cross = tuple(group.positive_on(simple))
+    # u is shortest in W_Theta u iff u^-1 Theta > 0
+    shortest = {group.inverse[x] for x in group.positive_on(sorted(theta))}
+    return simple, lengths, steps, cross, tuple(u for u in cross if u in shortest)
 
 
 def integral_data(group: WeylGroup, theta, lam: Weight) -> IntegralData:
     """Integral roots, W_lambda and the cross-sections A_lambda, A_Theta_lambda.
 
-    W_lambda is generated by the reflections of Pi_lambda and checked on
-    every call against its lattice description {w : w lam - lam in Z.Sigma},
-    which is read off the integer orbit rows of ``WeylGroup.weight_orbit``
-    (den * coroot values of w lam, rational part then transcendental
-    coefficients per simple coroot); see ``_root_lattice_stabilizer``.
+    W_lambda = {w : w lam - lam in Z.Sigma} is the reflection subgroup of
+    Pi_lambda (Humphreys, BGG Category O, on integral Weyl groups), built
+    once by ``_reflection_subgroup``.  Only |A_lambda| * |W_lambda| = |W|
+    is checked here; ``oracle.recompute_subgroups`` checks the lattice.
     """
     rs = group.rs
     if lam.rank != rs.rank:
         raise ValueError("weight rank does not match root system")
-    sigma_pos = _integral_positive_roots(rs, lam)
-    pi_lambda = _simple_roots_of(rs, sigma_pos)
-    w_lambda = group.subgroup_closure([group.reflection(r) for r in pi_lambda])
-    lattice_stab = _root_lattice_stabilizer(group, lam)
-    if lattice_stab != w_lambda:
-        raise AssertionError(
-            "integral Weyl group disagrees with its lattice description"
-        )
-    # u(Sigma_lambda^+) > 0 iff u(Pi_lambda) > 0; ids ascend with length
-    a_lambda = tuple(group.positive_on(pi_lambda))
-    if len(a_lambda) * len(w_lambda) != group.size:
+    sigma_pos = _positive_roots(rs, lam, is_integer)
+    pi, lengths, steps, a_lam, a_theta = _reflection_data(group, theta, sigma_pos)
+    if len(a_lam) * len(lengths) != group.size:
         raise AssertionError("|A_lambda| * |W_lambda| != |W|")
-    theta = tuple(sorted(theta))
-    shortest_reps = _shortest_coset_reps(group, theta)
-    a_theta_lambda = tuple(u for u in a_lambda if u in shortest_reps)
     return IntegralData(
         lam=lam,
         sigma_lambda_pos=sigma_pos,
-        pi_lambda=pi_lambda,
-        w_lambda_ids=w_lambda,
-        a_lambda=a_lambda,
-        a_theta_lambda=a_theta_lambda,
+        pi_lambda=pi,
+        w_lambda_ids=frozenset(lengths),
+        a_lambda=a_lam,
+        a_theta_lambda=a_theta,
+        lengths=lengths,
+        steps=steps,
     )
-
-
-def _shortest_coset_reps(group: WeylGroup, theta) -> frozenset[int]:
-    """w_Theta . ^Theta W = {w : w^-1 Theta inside positive roots}."""
-    inverse = group.inverse
-    return frozenset(inverse[x] for x in group.positive_on(theta))
 
 
 class IntegralSystem:
     """The Coxeter system (W_lambda, Pi_lambda), with its length ell_lambda
-    and the right-step table of each reflection in Pi_lambda.
+    and the right-step table of each reflection in Pi_lambda, both as
+    ``integral_data`` got them from ``_reflection_subgroup``.
 
     Its order is not the restriction of the Bruhat order of W: e.g. in B2
     with an A1 x A1 integral system, the two orthogonal simple reflections
@@ -366,24 +322,8 @@ class IntegralSystem:
 
     def __init__(self, group: WeylGroup, idata: "IntegralData"):
         self.group = group
-        self.members = sorted(idata.w_lambda_ids)
-        self.steps = {}
-        for r in idata.pi_lambda:
-            s_r = group.reflection(r)
-            self.steps[r] = {w: group.mult(w, s_r) for w in self.members}
-        # ell_lambda is the length of (W_lambda, Pi_lambda): the distance
-        # from e over the right steps by the reflections of Pi_lambda
-        self.lengths = lengths = {0: 0}
-        layer = [0]
-        while layer:
-            nxt = []
-            for w in layer:
-                for step in self.steps.values():
-                    x = step[w]
-                    if x not in lengths:
-                        lengths[x] = lengths[w] + 1
-                        nxt.append(x)
-            layer = nxt
+        self.lengths = idata.lengths
+        self.steps = idata.steps
         self._cosets: dict[tuple[int, ...], ThetaCosets] = {}
 
     def cosets(self, theta) -> ThetaCosets:
@@ -392,7 +332,7 @@ class IntegralSystem:
         tc = self._cosets.get(theta)
         if tc is None:
             tc = self._cosets[theta] = ThetaCosets(
-                self.group, self.members, self.steps, self.lengths, theta
+                self.group, self.lengths, self.steps, self.lengths, theta
             )
         return tc
 
@@ -493,23 +433,13 @@ class StabilizerData:
 def stabilizer_data(group: WeylGroup, theta, lam: Weight) -> StabilizerData:
     """Stabilizer W^lambda and its double-coset cross-section A_Theta^lambda.
 
+    W^lambda is the reflection subgroup of the simple roots among the
+    positive roots vanishing on lam, built by ``_reflection_subgroup``;
+    ``oracle.recompute_subgroups`` checks it against {w : w lam = lam}.
     Antidominance is checked in the weak sense (no positive-integer coroot
     pairing), which is the one compatible with singular weights.
     """
-    rs = group.rs
-    require_antidominant(rs, lam, allow_zero=True)
-    _, rows = group.weight_orbit(lam)
-    stab = frozenset(w for w, row in enumerate(rows) if row == rows[0])
-    zero_pos = [
-        r for r in range(rs.positive_root_count) if is_zero(pair(rs, r, lam))
-    ]
-    refl_subgroup = group.subgroup_closure([group.reflection(r) for r in zero_pos])
-    if refl_subgroup != stab:
-        raise AssertionError(
-            "stabilizer is not the reflection subgroup of the zero roots"
-        )
-    # u(zero roots^+) > 0 iff u sends their simple roots to positive roots
-    zero_simple = _simple_roots_of(rs, zero_pos)
-    shortest_reps = _shortest_coset_reps(group, tuple(sorted(theta)))
-    a_stab = tuple(u for u in group.positive_on(zero_simple) if u in shortest_reps)
-    return StabilizerData(w_stab_ids=stab, a_theta_stab=a_stab)
+    require_antidominant(group.rs, lam, allow_zero=True)
+    zero_pos = _positive_roots(group.rs, lam, is_zero)
+    _, lengths, _, _, a_stab = _reflection_data(group, theta, zero_pos)
+    return StabilizerData(w_stab_ids=frozenset(lengths), a_theta_stab=a_stab)

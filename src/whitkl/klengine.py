@@ -58,7 +58,7 @@ from __future__ import annotations
 import heapq
 from operator import add, sub
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cosetlab import (
     IntegralData,
@@ -109,12 +109,6 @@ class KLTable:
     idata: IntegralData
     models: list[IntegralModel]
     psi: dict[int, dict[int, HeckeElt]]  # u -> class's model coset -> element
-    # global coset -> element
-    phi: Mapping[int, HeckeElt] = field(init=False, repr=False, compare=False)
-    # (C, D) global ids -> P_{CD}, diagonal included
-    polys: Mapping[tuple[int, int], LaurentPoly] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         where: list[tuple[IntegralModel, int] | None] = [None] * self.tc.n_cosets
@@ -124,14 +118,20 @@ class KLTable:
         self._where = where
         self._tag = global_tag(self.tc)
         bases = [self.psi[model.u] for model in self.models]
-        self.phi = _View(
-            self._phi_pairs, self._phi_at, sum(len(psi) for psi in bases)
-        )
-        self.polys = _View(
-            self._poly_pairs,
-            self._poly_at,
-            sum(len(elt.coeffs) for psi in bases for elt in psi.values()),
-        )
+        self._n_phi = sum(len(psi) for psi in bases)
+        self._n_polys = sum(len(elt.coeffs) for psi in bases for elt in psi.values())
+
+    # views are made when read: a table holding views that hold its bound
+    # methods would be a cycle, keeping psi until the cycle collector runs
+    @property
+    def phi(self) -> Mapping[int, HeckeElt]:
+        """Global coset -> element."""
+        return _View(self._phi_pairs, self._phi_at, self._n_phi)
+
+    @property
+    def polys(self) -> Mapping[tuple[int, int], LaurentPoly]:
+        """(C, D) global ids -> P_{CD}, diagonal included."""
+        return _View(self._poly_pairs, self._poly_at, self._n_polys)
 
     def model_of_coset(self, cid: int) -> IntegralModel:
         return self._locate(cid)[0]

@@ -1,6 +1,7 @@
 """Independent brute-force checks: subword Bruhat order, classical
-Kazhdan-Lusztig polynomials via R-polynomials, and definition-level
-recomputation of cosets, cross-sections and integral models; and the
+Kazhdan-Lusztig polynomials via R-polynomials, definition-level
+recomputation of cosets, cross-sections and integral models, and of
+W_lambda and W^lambda by the lattice and the orbit of lambda; and the
 devices the paper's Sec. 3 proofs use, as references on the production
 tables: the three-case operators T_alpha, restriction to the integral
 models, conjugation through non-integral walls and descent chains.
@@ -12,29 +13,34 @@ builds (``ThetaCosets.targets``, ``lengths``, ``coset_of``) and apply
 each device by its definition, element by element.  Neither the package
 nor the pipeline imports this module, and the CLI loads it only for
 `verify`; only `kl_classical_relation_check` calls the engine, to compare
-its output with `classical_kl`.  Speed is a non-goal.
+its output with `classical_kl`, and `recompute_subgroups` the pipeline's
+subgroup routine.  Speed is a non-goal.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 from .cosetlab import (
     IntegralData,
     IntegralModel,
     ThetaCosets,
-    _integral_positive_roots,
+    _positive_roots,
+    _reflection_data,
     _simple_roots_of,
     integral_data,
 )
 from .heckemodule import HeckeElt, SpaceMismatchError, _trusted_elt, global_tag, model_tag
 from .klengine import _DIGIT_BITS, build_kl_table
 from .laurent import LaurentPoly
-from .rootsystem import Weight, is_integer, pair, weight_flags
-from .weylgroup import WeylGroup
+from .rootsystem import Weight, is_integer, is_zero, pair, weight_flags
+from .weylgroup import WeylGroup, _simple_steps
 
 __all__ = [
     "Check",
@@ -49,14 +55,17 @@ __all__ = [
     "kl_classical_relation_check",
     "longest_element_of_parabolic",
     "recompute_cosets",
+    "recompute_subgroups",
     "model_order_reflection_chains",
     "restrict_lambda",
     "right_mult_simple",
     "root_images",
+    "subgroup_closure",
     "t_alpha",
     "t_alpha_model",
     "times_element",
     "times_simple",
+    "weight_orbit",
 ]
 
 SUBWORD_LENGTH_CAP = 12
@@ -210,14 +219,15 @@ def kl_classical_relation_check(group: WeylGroup, lam: Weight) -> bool:
             raise AssertionError("cosets are not singletons with empty theta")
         coset_of_elt[c.member_ids[0]] = c.id
     oracle_p = classical_kl(group)
+    polys = table.polys
     for (v, w), poly in oracle_p.items():
         gap = group.length(w) - group.length(v)
         expected = poly.subst_q_power(-2) * LaurentPoly.monomial(gap)
-        ours = table.polys.get((coset_of_elt[w], coset_of_elt[v]), LaurentPoly.zero())
+        ours = polys.get((coset_of_elt[w], coset_of_elt[v]), LaurentPoly.zero())
         if ours != expected:
             return False
     # no extra support on the engine side
-    for (cw, cv), poly in table.polys.items():
+    for (cw, cv), poly in polys.items():
         w = table.tc.cosets[cw].member_ids[0]
         v = table.tc.cosets[cv].member_ids[0]
         if poly and (v, w) not in oracle_p:
@@ -266,7 +276,7 @@ def recompute_cosets(
     scope = f"{rs.type_letter}{rs.rank}, theta={list(theta)}"
 
     # right W_Theta-cosets by naive translation of the full subgroup
-    w_theta = group.subgroup_closure([group.simple_ids[i] for i in theta])
+    w_theta = subgroup_closure(group, [group.simple_ids[i] for i in theta])
     naive_cosets = []
     assigned = {}
     for w in range(group.size):
@@ -311,10 +321,9 @@ def recompute_cosets(
     )
 
     # A_lambda by the Sigma_u^+ definition
+    sigma_lambda = set(_positive_roots(rs, lam, is_integer))
     a_lambda_def = {
-        u
-        for u in range(group.size)
-        if not (_sigma_u_plus(group, u) & _sigma_lambda_all(group, lam))
+        u for u in range(group.size) if not (_sigma_u_plus(group, u) & sigma_lambda)
     }
     ok = a_lambda_def == set(idata.a_lambda)
     report.add(
@@ -421,17 +430,120 @@ def recompute_cosets(
     return report
 
 
+def subgroup_closure(group: WeylGroup, generator_ids) -> frozenset[int]:
+    """The subgroup generated by generator_ids, closed under products."""
+    seen = {0}
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        for g in generator_ids:
+            y = group.mult(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def weight_orbit(group: WeylGroup, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
+    """The W-orbit of lam in integers: (den, rows), indexed by element id.
+
+    den is the least common denominator of lam's parts, and
+    rows[w][i * (1 + k) + j] is den times part j of alpha_i^vee(w lam): the
+    rational part (j = 0), then the coefficients of the k transcendentals.
+    rows[w] is one integer step from the row of s_i w, i = word[0].
+    """
+    if lam.rank != group.rs.rank:
+        raise ValueError(
+            f"weight rank {lam.rank} does not match system rank {group.rs.rank}"
+        )
+    stride = 1 + lam.n_transcendentals
+    values = [x for rational, tvec in lam.coords for x in (rational, *tvec)]
+    den = math.lcm(*(x.denominator for x in values))
+    step = _simple_steps(group.rs.cartan_matrix, stride)
+    rows = [tuple(x.numerator * (den // x.denominator) for x in values)]
+    inverse, right = group.inverse, group.right_table
+    for w in range(1, group.size):
+        i = group.elements[w].word[0]
+        rows.append(step(rows[inverse[right[inverse[w]][i]]], i))
+    return den, rows
+
+
+def _cartan_inverse(cartan):
+    """Exact inverse of a Cartan matrix, via Gauss-Jordan elimination."""
+    n = len(cartan)
+    a = [[Fraction(cartan[i][j]) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = 1 / a[col][col]
+        a[col] = [x * scale for x in a[col]]
+        inv[col] = [x * scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+@functools.cache
+def _integer_cartan_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(e, e * cartan^-1) for the least e making it integral, once per matrix."""
+    inv = _cartan_inverse(cartan)
+    e = math.lcm(*(x.denominator for row in inv for x in row))
+    return e, tuple(tuple(int(x * e) for x in row) for row in inv)
+
+
+def _root_lattice_stabilizer(group: WeylGroup, lam: Weight) -> frozenset[int]:
+    """{w : w lam - lam in Z.Sigma}, read off the integer orbit of lam.
+
+    With d = rows[w] - rows[0] for the rows of ``weight_orbit``, w lam - lam
+    lies in Z.Sigma iff the transcendental parts of d vanish and
+    e * cartan^-1 times its rational parts is divisible by e * den, for the
+    least e making e * cartan^-1 an integer matrix.
+    """
+    e, e_inv = _integer_cartan_inverse(group.rs.cartan_matrix)
+    den, rows = weight_orbit(group, lam)
+    modulus = e * den
+    stride = 1 + lam.n_transcendentals
+    base = rows[0]
+    base_rational = base[::stride]
+    base_t = [base[t::stride] for t in range(1, stride)]
+    members = []
+    for w, row in enumerate(rows):
+        if any(row[t::stride] != bt for t, bt in enumerate(base_t, 1)):
+            continue
+        d = [x - b for x, b in zip(row[::stride], base_rational)]
+        if all(sum(map(operator.mul, e_row, d)) % modulus == 0 for e_row in e_inv):
+            members.append(w)
+    return frozenset(members)
+
+
+def recompute_subgroups(group: WeylGroup, lam: Weight) -> OracleReport:
+    """W_lambda and W^lambda as the pipeline builds them, against
+    {w : w lam - lam in Z.Sigma} and {w : w lam = lam}, at any rank."""
+    rs = group.rs
+    report = OracleReport()
+    lattice = _root_lattice_stabilizer(group, lam)
+    _, rows = weight_orbit(group, lam)
+    fixed = frozenset(w for w, row in enumerate(rows) if row == rows[0])
+    del rows  # |W| rows, freed before the subgroups are built
+    for name, roots, definition in (
+        ("w-lambda-vs-lattice", _positive_roots(rs, lam, is_integer), lattice),
+        ("stabilizer-vs-zero-roots", _positive_roots(rs, lam, is_zero), fixed),
+    ):
+        diff = sorted(frozenset(_reflection_data(group, (), roots)[1]) ^ definition)
+        witness = f"diff={diff[:4]}" if diff else None
+        report.add(name, f"{rs.type_letter}{rs.rank}", not diff, witness)
+    return report
+
+
 def _sigma_u_plus(group: WeylGroup, u: int) -> frozenset[int]:
     p = group.rs.positive_root_count
     images = root_images(group, u)
     return frozenset(r for r in range(p) if images[r] >= p)
-
-
-def _sigma_lambda_all(group: WeylGroup, lam) -> frozenset[int]:
-    rs = group.rs
-    return frozenset(
-        r for r in range(rs.positive_root_count) if is_integer(pair(rs, r, lam))
-    )
 
 
 # -- the Sec. 3 devices, on the production tables ----------------------
@@ -620,7 +732,7 @@ def descent_chain(tc: ThetaCosets, idata: IntegralData, c: int):
                 cur_c = target
                 cur_lam = group.act_on_weight(group.simple_ids[b], cur_lam)
                 cur_pi = set(
-                    _simple_roots_of(rs, _integral_positive_roots(rs, cur_lam))
+                    _simple_roots_of(rs, _positive_roots(rs, cur_lam, is_integer))
                 )
                 break
         else:

@@ -8,11 +8,12 @@ runs and usable in golden files.  Products and inverses walk words through
 that table.  No root permutation is built: every root sign is read off the
 key by w(beta) > 0 iff <beta^vee, w^-1 rho> = ht((w beta)^vee) > 0, and
 the image of a root walks the word through the simple reflections.
+The integer W-orbit of a weight and the closure of a set of elements
+under products are definition-level references and live in ``oracle``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -136,33 +137,6 @@ class WeylGroup:
         coords = tuple(pair(rs, self.act_on_root(inv, i), lam) for i in range(rs.rank))
         return Weight(coords, lam.n_transcendentals)
 
-    def weight_orbit(self, lam: Weight) -> tuple[int, list[tuple[int, ...]]]:
-        """The W-orbit of lam in integers: (den, rows), indexed by element id.
-
-        den is the least common denominator of every rational and
-        transcendental part of lam's coordinates.  rows[w] is one flat
-        tuple holding den * alpha_i^vee(w lam) for each simple coroot i in
-        turn: its rational part, then its coefficient on each
-        transcendental, so rows[w][i * (1 + k) + j] with k transcendentals.
-        With i = word[0], w = s_i w' for w' = s_i w, which is shorter and so
-        has a smaller id; its row gives w's by the same integer step as
-        the enumeration.  Nothing is cached.
-        """
-        if lam.rank != self.rs.rank:
-            raise ValueError(
-                f"weight rank {lam.rank} does not match system rank {self.rs.rank}"
-            )
-        stride = 1 + lam.n_transcendentals
-        values = [x for rational, tvec in lam.coords for x in (rational, *tvec)]
-        den = math.lcm(*(x.denominator for x in values))
-        step = _simple_steps(self.rs.cartan_matrix, stride)
-        rows = [tuple(x.numerator * (den // x.denominator) for x in values)]
-        inverse, right = self.inverse, self.right_table
-        for w in range(1, self.size):
-            i = self.elements[w].word[0]
-            rows.append(step(rows[inverse[right[inverse[w]][i]]], i))
-        return den, rows
-
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""
         # s_beta is its own inverse and s_beta rho = rho - <beta^vee, rho> beta,
@@ -176,7 +150,7 @@ class WeylGroup:
         )
         return self._by_key[key]
 
-    # -- root signs and subgroups ----------------------------------------
+    # -- root signs and descents -----------------------------------------
 
     def positive_on(self, roots) -> list[int]:
         """Ids w, ascending and so by length, with w(beta) > 0 for beta in roots."""
@@ -190,18 +164,6 @@ class WeylGroup:
     def descents_right(self, w: int) -> frozenset[int]:
         """{i : w s_i < w} = {i : w(alpha_i) < 0}: the negative key entries."""
         return frozenset(i for i, x in enumerate(self._keys[w]) if x < 0)
-
-    def subgroup_closure(self, generator_ids) -> frozenset[int]:
-        seen = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g in generator_ids:
-                y = self.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
 
     # -- Bruhat order ------------------------------------------------------
 

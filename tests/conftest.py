@@ -77,6 +77,35 @@ def lambda_golden_a3() -> Weight:
     return Weight.from_values([(-5, (-4,)), (-5, (4,)), (-5, (0,))])
 
 
+STABILIZER_CASES = [
+    ("A", 3, Weight.zero(3)),
+    ("A", 3, Weight.from_values([0, -1, 0])),
+    ("B", 3, Weight.from_values([0, Fraction(-1, 2), 0])),
+    ("C", 3, Weight.from_values([(0, (0,)), (-1, (1,)), 0])),
+    ("G", 2, Weight.from_values([0, Fraction(-1, 3)])),
+    ("B", 4, Weight.from_values([0, -1, 0, Fraction(-1, 2)])),
+    ("D", 5, Weight.from_values([0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1])),
+]
+
+
+@pytest.fixture
+def wrong_reflection_subgroup(monkeypatch):
+    """cosetlab._reflection_subgroup with the longest element toggled in or
+    out of its lengths, for W_lambda and W^lambda alike."""
+    from whitkl import cosetlab
+
+    real = cosetlab._reflection_subgroup
+
+    def wrong(group, simple_roots):
+        lengths, steps = real(group, simple_roots)
+        lengths = dict(lengths)
+        if lengths.pop(group.longest_id, None) is None:
+            lengths[group.longest_id] = group.length(group.longest_id)
+        return lengths, steps
+
+    monkeypatch.setattr(cosetlab, "_reflection_subgroup", wrong)
+
+
 @pytest.fixture(scope="session")
 def a3_group():
     return get_group("A", 3)

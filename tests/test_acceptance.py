@@ -23,7 +23,6 @@ from whitkl import (
     regular_formula,
     singular_formula,
     stabilizer_data,
-    verma_mode,
 )
 from whitkl.cosetlab import subgroup_bruhat
 from whitkl.heckemodule import model_tag
@@ -38,6 +37,7 @@ from whitkl.oracle import (
     recompute_cosets,
     restrict_lambda,
     root_images,
+    subgroup_closure,
     t_alpha,
     t_alpha_model,
     times_element,
@@ -190,8 +190,8 @@ def _check_lemma_non_int_refl(group, lam, idata):
         assert act(u, sigma) == _sigma_all(group, ulam)  # (a)
         assert act(u, sigma_pos) == _sigma_pos(group, ulam)  # (b)
         assert act(u, pi) == _pi_of(group, ulam)  # (c)
-        w_ulam = group.subgroup_closure(
-            [group.reflection(r) for r in sorted(_sigma_pos(group, ulam))]
+        w_ulam = subgroup_closure(
+            group, [group.reflection(r) for r in sorted(_sigma_pos(group, ulam))]
         )
         conjugated = frozenset(
             group.mult(group.mult(u, v), group.inverse[u])

@@ -10,7 +10,6 @@ from whitkl import (
     regular_formula,
     singular_formula,
     stabilizer_data,
-    verma_mode,
 )
 from whitkl.charformula import verma_formula
 
@@ -168,7 +167,7 @@ def test_singular_full_theta():
 
 def test_verma_mode_a2_integral():
     g = get_group("A", 2)
-    cf = verma_mode(g, Weight.minus_rho(2))
+    cf = verma_formula(build_kl_table(g, (), Weight.minus_rho(2)))
     assert cf.label_kind == "element"
     by_word = {g.elements[x].word: x for x in range(g.size)}
     e = by_word[()]
@@ -183,7 +182,7 @@ def test_verma_mode_a2_integral():
 def test_verma_mode_golden_a3_block_support():
     g = get_group("A", 3)
     lam = lambda_golden_a3()
-    cf = verma_mode(g, lam)
+    cf = verma_formula(build_kl_table(g, (), lam))
     by_word = {g.elements[x].word: x for x in range(g.size)}
     sgsb = by_word[(2, 1)]
     assert cf.rows[sgsb] == ((sgsb, 1),)

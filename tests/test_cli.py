@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import whitkl.charformula
 import whitkl.cli
 from whitkl import LaurentPoly, Weight, build_kl_table
 from whitkl.cli import (
@@ -316,23 +315,36 @@ def test_space_mismatch_is_an_internal_error(capsys, monkeypatch):
     assert err == "whitkl: internal error: cannot combine elements tagged a and b\n"
 
 
-def test_wrong_integral_weyl_group_is_an_internal_error(capsys, monkeypatch):
-    # the lattice cross-check in integral_data runs on every CLI call
-    from whitkl.weylgroup import WeylGroup
-
-    real = WeylGroup.subgroup_closure
-
-    def wrong(self, generator_ids):
-        return real(self, generator_ids) ^ {self.longest_id}
-
-    monkeypatch.setattr(WeylGroup, "subgroup_closure", wrong)
+def test_wrong_integral_weyl_group_is_an_internal_error(
+    capsys, wrong_reflection_subgroup
+):
+    # integral_data counts |A_lambda| * |W_lambda| on every CLI call
     code, out, err = run_cli(capsys, *GOLDEN_A3_ARGS, "klpolys")
     assert code == 3
     assert out == ""
-    assert err == (
-        "whitkl: internal error: "
-        "integral Weyl group disagrees with its lattice description\n"
-    )
+    assert err == "whitkl: internal error: |A_lambda| * |W_lambda| != |W|\n"
+
+
+SUBGROUP_CHECKS = ("w-lambda-vs-lattice", "stabilizer-vs-zero-roots")
+# rank 5 and |W| > 1152: verify builds no KL table, which the fault would stop
+D5_VERIFY_ARGS = ["--type", "D5", "--lambda=0,-1+1*t1,-1/2,-1-1*t1,-1", "verify"]
+
+
+def test_verify_runs_the_subgroup_checks_at_every_rank(capsys):
+    code, out, err = run_cli(capsys, *D5_VERIFY_ARGS)
+    assert code == 0, out
+    for name in SUBGROUP_CHECKS:
+        assert f"pass  {name}  (D5)\n" in out
+
+
+def test_verify_fails_each_subgroup_check_under_a_wrong_subgroup(
+    capsys, wrong_reflection_subgroup
+):
+    code, out, err = run_cli(capsys, *D5_VERIFY_ARGS)
+    assert code == 2
+    assert err == ""
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == list(SUBGROUP_CHECKS)
 
 
 def test_verify_json_format(capsys):
@@ -490,8 +502,8 @@ def test_characters_verma_builds_one_table(capsys, monkeypatch):
         calls.append(args)
         return build_kl_table(*args, **kwargs)
 
+    # the CLI builds every table the command uses
     monkeypatch.setattr(whitkl.cli, "build_kl_table", counted)
-    monkeypatch.setattr(whitkl.charformula, "build_kl_table", counted)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert len(calls) == 1

@@ -161,3 +161,17 @@ def test_b4_build_peak_memory():
         tracemalloc.stop()
     assert table.tc.n_cosets == 384
     assert peak < 5 * 2**20, f"build_kl_table peaked at {peak / 2**20:.1f} MB"
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    # phi and polys are made on access: a table holding views that hold its
+    # own bound methods would wait, psi and all, for the cycle collector
+    table = build_kl_table(get_group("A", 3), (), Weight.minus_rho(3))
+    assert len(table.phi) == 24 and len(table.polys) > 24
+    gc.collect()
+    gc.disable()
+    try:
+        del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from whitkl import (
@@ -12,9 +14,10 @@ from whitkl.oracle import (
     classical_kl,
     model_order_reflection_chains,
     recompute_cosets,
+    recompute_subgroups,
 )
 
-from conftest import get_group, lambda_golden_a3, weight_catalog
+from conftest import STABILIZER_CASES, get_group, lambda_golden_a3, weight_catalog
 
 ONE = LaurentPoly.one()
 ONE_PLUS_Q = LaurentPoly({0: 1, 1: 1})
@@ -160,3 +163,21 @@ def test_report_json_shape():
     data = json.loads(report.to_json())
     assert data["passed"] is True
     assert all({"name", "scope", "passed", "counterexample"} <= set(c) for c in data["checks"])
+
+
+SUBGROUP_CASES = STABILIZER_CASES + [
+    ("A", 3, lambda_golden_a3()),
+    ("B", 3, Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2)])),
+    ("F", 4, Weight.minus_rho(4)),
+]
+
+
+@pytest.mark.parametrize("letter, rank, lam", SUBGROUP_CASES)
+def test_recompute_subgroups_passes_on_the_suite_weights(letter, rank, lam):
+    g = get_group(letter, rank)
+    report = recompute_subgroups(g, lam)
+    assert [c.name for c in report.checks] == [
+        "w-lambda-vs-lattice",
+        "stabilizer-vs-zero-roots",
+    ]
+    assert report.passed, report.to_json()

@@ -20,7 +20,7 @@ from whitkl.klengine import (  # noqa: E402
     _tuple_submul,
     _tuple_times_q,
 )
-from whitkl.oracle import _encode  # noqa: E402
+from whitkl.oracle import _encode, recompute_subgroups, weight_orbit  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 
@@ -50,12 +50,20 @@ def type_and_weight(draw):
 def test_weight_orbit_agrees_with_act_on_weight(case):
     letter, rank, lam = case
     g = get_group(letter, rank)
-    den, rows = g.weight_orbit(lam)
+    den, rows = weight_orbit(g, lam)
     for w in range(g.size):
         mu = g.act_on_weight(w, lam)
         assert rows[w] == tuple(
             den * x for rational, tvec in mu.coords for x in (rational, *tvec)
         )
+
+
+@settings(max_examples=25, deadline=None)
+@given(type_and_weight())
+def test_reflection_subgroups_meet_their_definitions(case):
+    letter, rank, lam = case
+    report = recompute_subgroups(get_group(letter, rank), lam)
+    assert len(report.checks) == 2 and report.passed, report.to_json()
 
 
 @settings(max_examples=60, deadline=None)
