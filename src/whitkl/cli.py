@@ -6,10 +6,12 @@ inputs: orderings are fixed everywhere and no randomness is involved.
 
 Output is streamed: the document is written to stdout in bounded chunks
 as it is rendered, never held whole.  Its long lists are not held either:
-the KL polynomials, and the entries of each character and multiplicity
-row, are row sequences (``_Rows``) that read the table, the formula and
-the inverse as they are iterated, and yield the same dicts each time;
-each coset's ``below`` list (``_Below``) is read off its ideal bitset.
+the KL polynomials, the cosets, each model's cosets, and the entries of
+each character and multiplicity row, are row sequences (``_Rows``) that
+read the table, the cosets, the formula and the inverse as they are
+iterated, and yield the same dicts each time; each coset's ``below``
+list (``_Below``) is read off its ideal bitset.  Each element's entry
+(``_Shared``) is made once per job and shared by every row naming it.
 The JSON writer writes such a sequence's rows as the pieces all rows
 share around their values' texts, each distinct value's text made once.
 Every error is found before the first byte is written, so a failing
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter, lshift, xor
 
 from . import laurent
 from .charformula import (
@@ -223,6 +225,7 @@ class Job:
         self.group = enumerate_group(self.rs)
         self.theta = theta
         self.lam = lam
+        self.elements = _Elements(self.group)
         if lam is not None and lam.rank != rank:
             raise InputError(
                 f"lambda has rank {lam.rank} but the root system has rank {rank}"
@@ -246,35 +249,50 @@ class Job:
         }
 
 
-def _elt_entry(group, w) -> dict:
-    return {"word": list(group.elements[w].word), "name": elt_name(group, w)}
+class _Elements(dict):
+    """Each element's entry, {"word": ..., "name": ...}, by element id: made
+    on first use, once per job, and shared by every row that names it."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def __missing__(self, w) -> _Shared:
+        word = self.group.elements[w].word
+        entry = self[w] = _Shared(word=list(word), name=elt_name(self.group, w))
+        return entry
 
 
-def _coset_entry(group, tc, record):
-    return {
-        "id": record.id,
-        "longest": _elt_entry(group, record.longest),
-        "shortest": _elt_entry(group, record.shortest),
-        "length": group.length(record.longest),
+_longest, _shortest = attrgetter("longest"), attrgetter("shortest")
+
+
+def _coset_rows(job, tc) -> _Rows:
+    """The rows of tc's cosets: id, longest, shortest, length, below."""
+    entry = job.elements.__getitem__
+    longest = list(map(entry, map(_longest, tc.cosets)))
+    shortest = list(map(entry, map(_shortest, tc.cosets)))
+    ids = range(tc.n_cosets)
+    # built here, so that a broken order fails before the first byte
+    ideals = list(map(tc.ideal, ids))
+
+    def rows():
         # the strict lower ideal: bit C of C's own ideal cleared
-        "below": _Below(tc.ideal(record.id) ^ 1 << record.id),
-    }
+        below = map(xor, ideals, map(lshift, repeat(1), ids))
+        return zip(ids, longest, shortest, tc.lengths, map(_Below, below))
+
+    return _Rows(("id", "longest", "shortest", "length", "below"), rows, len(ids))
 
 
 def _model_entry(job, model):
-    group = job.group
+    quotient = model.quotient
+    longest = list(map(job.elements.__getitem__, map(_longest, quotient.cosets)))
     return {
-        "u": _elt_entry(group, model.u),
+        "u": job.elements[model.u],
         "theta_u_lambda": [root_name(job.rs, r) for r in model.theta_u_lambda],
-        "cosets": [
-            {
-                "id": f.id,
-                "longest": _elt_entry(group, f.longest),
-                "length_lambda": model.length(f.id),
-                "global": model.ind[f.id],
-            }
-            for f in model.cosets
-        ],
+        "cosets": _Rows(
+            ("id", "longest", "length_lambda", "global"),
+            partial(zip, range(len(longest)), longest, quotient.lengths, model.ind),
+            len(longest),
+        ),
     }
 
 
@@ -284,9 +302,9 @@ def run_info(job):
         "context": job.context(),
         "sigma_lambda_pos": [root_name(job.rs, r) for r in idata.sigma_lambda_pos],
         "pi_lambda": [root_name(job.rs, r) for r in idata.pi_lambda],
-        "a_lambda": [elt_name(job.group, u) for u in idata.a_lambda],
-        "a_theta_lambda": [elt_name(job.group, u) for u in idata.a_theta_lambda],
-        "cosets": [_coset_entry(job.group, tc, c) for c in tc.cosets],
+        "a_lambda": [job.elements[u]["name"] for u in idata.a_lambda],
+        "a_theta_lambda": [job.elements[u]["name"] for u in idata.a_theta_lambda],
+        "cosets": _coset_rows(job, tc),
         "models": [_model_entry(job, m) for m in models],
     }
     return data
@@ -303,7 +321,7 @@ def run_klpolys(job):
     table = build_kl_table(job.group, job.theta, job.lam)
     data = {
         "context": job.context(),
-        "cosets": [_coset_entry(job.group, table.tc, c) for c in table.tc.cosets],
+        "cosets": _coset_rows(job, table.tc),
         "models": [_model_entry(job, m) for m in table.models],
         "kl_polynomials": _Rows(
             ("c", "d", "poly"), partial(_kl_rows, table), len(table.polys)
@@ -359,14 +377,14 @@ def run_characters(job, invert=False, verma=False):
     # each entry's label is the label of a row
     cosets = table.tc.cosets if cf.label_kind == "coset" else None
     names = {
-        x: elt_name(group, x if cosets is None else cosets[x].longest)
+        x: job.elements[x if cosets is None else cosets[x].longest]["name"]
         for x in cf.labels
     }
     name = names.__getitem__
 
     data = {
         "context": context,
-        "cosets": [_coset_entry(group, table.tc, c) for c in table.tc.cosets],
+        "cosets": _coset_rows(job, table.tc),
         "models": [_model_entry(job, m) for m in table.models],
         "characters": [
             {
@@ -475,10 +493,11 @@ def run_verify(job):
 # Each renderer hands its document to a sink, a callable such as
 # ``sys.stdout.write``, in chunks, so that no format ever holds the whole
 # text of a large document.  The JSON writer flushes once its piece list
-# holds _CHUNK_PIECES pieces; the text and LaTeX writers once their lines
-# hold _CHUNK_CHARS characters.  A document is built of dicts with str
-# keys, lists and tuples, and str, int, bool and None; the JSON writer
-# accepts nothing else.  Its long lists are _Rows, made as they are read.
+# holds _CHUNK_PIECES pieces, or its rows' pieces _CHUNK_CHARS characters;
+# the text and LaTeX writers once their lines hold _CHUNK_CHARS
+# characters.  A document is built of dicts with str keys, lists and
+# tuples, and str, int, bool and None; the JSON writer accepts nothing
+# else.  Its long lists are _Rows, made as they are read.
 
 _CHUNK_PIECES = 2048
 _CHUNK_CHARS = 1 << 16
@@ -491,8 +510,8 @@ class _Rows(list):
     writes a batch of tuples of exact ints and strs without their dicts.
 
     The list itself stays empty; it is a list so that ``render_json`` and
-    ``json.dumps`` write it as one.  It is only ever iterated, never
-    indexed or compared.
+    ``json.dumps`` write it as one.  It is iterated, never indexed; it
+    compares as the list of its dicts.
     """
 
     __slots__ = ("fields", "rows", "length")
@@ -508,6 +527,20 @@ class _Rows(list):
 
     def __len__(self):
         return self.length
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __ne__(self, other):
+        return list(self) != other
+
+
+class _Shared(dict):
+    """A dict that a document holds in many places, such as an element's
+    entry.  ``render_json`` makes the text of one in a ``_Rows`` column once
+    per indent, and writes it wherever the dict appears there."""
+
+    __slots__ = ()
 
 
 class _Below(list):
@@ -587,13 +620,14 @@ def render_json(data, sink=None):
     pure-Python one spends most of a large document's time in generators.
     This writer appends to one list, encodes each distinct string key once,
     and writes a list or object whose values are all scalars with a single
-    join.  A ``_Below`` list is written with one join of the texts of its
-    ids, picked by the 0/1 flags of its mask.  A ``_Rows`` list is written
-    a batch of rows at a time.  A batch whose values are all exact ints
-    and strs is written with no Python step per row: the pieces every row
-    shares (keys, braces, commas) are interleaved with its columns' value
-    texts, each distinct value's made once per render.  Any other batch
-    takes the walk above.
+    join.  A ``_Below`` list is written with one join of pre-joined
+    ``",<newline><indent>id"`` pieces, picked by the 0/1 flags of its mask.
+    A ``_Rows`` list is written a batch of rows at a time.  A batch whose
+    columns each hold exact ints and strs, ``_Below`` lists or ``_Shared``
+    dicts is written from the pieces every row shares (keys, braces,
+    commas), interleaved with its columns' value texts: each distinct int
+    and str's made once per render, each ``_Shared`` dict's once per render
+    and indent.  Any other batch takes the walk above.
     """
     if sink is None:
         return _joined(render_json, data)
@@ -610,11 +644,12 @@ def render_json(data, sink=None):
         text = key_text[k] = encode_basestring(k) + ": "
         return text
 
-    def flush() -> None:
-        sink("".join(out))
-        out.clear()
+    hold = False  # set while a ``_Shared`` dict's text is made in ``out``
 
-    id_texts: list[str] = []  # id_texts[i] is str(i), for the widest mask so far
+    def flush() -> None:
+        if not hold:  # that text must not be split off
+            sink("".join(out))
+            out.clear()
 
     def write(value, nl: str) -> None:
         enc = scalars.get(type(value))
@@ -627,10 +662,7 @@ def render_json(data, sink=None):
             inner = nl + "  "
             sep = "," + inner
             if type(value) is _Below:
-                flags = _flags(value.mask)
-                if len(flags) > len(id_texts):
-                    id_texts.extend(map(str, range(len(id_texts), len(flags))))
-                append("[" + inner + sep.join(compress(id_texts, flags)) + nl + "]")
+                append(below_text(value, nl))
                 return
             if type(value) is _Rows:
                 write_rows(value, inner)
@@ -681,8 +713,54 @@ def render_json(data, sink=None):
                 f"Object of type {value.__class__.__name__} is not JSON serializable"
             )
 
+    # indent -> its pieces "," + indent + str(i), for the widest mask so far
+    id_pieces: dict[str, list[str]] = {}
+
+    def below_text(below: _Below, nl: str) -> str:
+        if not below.mask:
+            return "[]"
+        flags = _flags(below.mask)
+        pieces = id_pieces.get(nl)
+        if pieces is None:
+            pieces = id_pieces[nl] = []
+        if len(flags) > len(pieces):
+            sep = "," + nl + "  "
+            pieces += map(sep.__add__, map(str, range(len(pieces), len(flags))))
+        ids = compress(pieces, flags)
+        first = next(ids)
+        return "".join(chain(("[" + first[1:],), ids, (nl + "]",)))
+
+    # (id, indent) -> (text, dict): the dict is held, so its id stays its own
+    shared: dict[tuple[int, str], tuple[str, _Shared]] = {}
+
+    def shared_text(value: _Shared, nl: str) -> str:
+        hit = shared.get((id(value), nl))
+        if hit is None:
+            nonlocal hold
+            start, outer, hold = len(out), hold, True
+            try:
+                write(value, nl)
+            finally:
+                hold = outer
+            hit = shared[id(value), nl] = ("".join(out[start:]), value)
+            del out[start:]
+        return hit[0]
+
     # JSON text of an exact str or int, made once per distinct value
     text = _Texts().__getitem__
+
+    def column_texts(column: tuple, nl: str):
+        """The texts of a column's values, or None if the pieces do not take
+        them."""
+        kinds = set(map(type, column))
+        if kinds == {_Below}:
+            return map(below_text, column, repeat(nl))
+        if kinds == {_Shared}:
+            # made before the row pieces are, as a miss writes to ``out``
+            return list(map(shared_text, column, repeat(nl)))
+        if kinds <= {int, str}:
+            return map(text, column)
+        return None
 
     # (keys, indent) -> the pieces all rows of that shape share, each an
     # endless repeat that every batch reads as far as its values go: "," and
@@ -691,9 +769,9 @@ def render_json(data, sink=None):
 
     def write_rows(rows: _Rows, inner: str) -> None:
         fields = rows.fields
+        nl = inner + "  "
         shape = shapes.get((fields, inner))
         if shape is None:
-            nl = inner + "  "
             heads = ["," + nl + (key_text.get(k) or key(k)) for k in fields]
             if heads:
                 heads[0] = "," + inner + "{" + heads[0][1:]
@@ -704,24 +782,35 @@ def render_json(data, sink=None):
         heads, close = shape
         lead = "["  # leads the list's first row; "," leads each later one
         it = rows.rows()
-        while batch := list(islice(it, limit)):
-            # exact ints and strs only: a bool would find the text of 0 or 1;
+        # a batch adds about ``limit`` pieces, or, where the rows' texts are
+        # long (below lists), about _CHUNK_CHARS characters
+        most = size = limit // (2 * len(fields) + 1)
+        held = 0  # characters of row pieces written since the last flush
+        while batch := list(islice(it, size)):
+            columns = zip(*batch)
+            # exact ints and strs only: a bool would find the text of 0 or 1
+            if set(map(type, chain.from_iterable(batch))) <= {int, str}:
+                texts, long = [map(text, column) for column in columns], False
+            else:
+                texts, long = [column_texts(column, nl) for column in columns], True
             # rows with no field have no column to be counted by
-            if heads and set(map(type, chain.from_iterable(batch))) <= {int, str}:
+            if heads and None not in texts:
                 start = len(out)
-                pieces = []
-                for head, column in zip(heads, zip(*batch)):
-                    pieces += head, map(text, column)
-                out.extend(chain.from_iterable(zip(*pieces, close)))
+                out.extend(chain.from_iterable(zip(*chain(*zip(heads, texts)), close)))
                 out[start] = lead + out[start][1:]
+                if long:
+                    chars = sum(map(len, out[start:]))
+                    held += chars
+                    size = min(most, max(1, size * _CHUNK_CHARS // chars))
             else:
                 for row in batch:
                     append(lead + inner)
                     write(dict(zip(fields, row)), inner)
                     lead = ","
             lead = ","
-            if len(out) >= limit:
+            if len(out) >= limit or held >= _CHUNK_CHARS:
                 flush()
+                held = 0
 
     try:
         write(data, "\n")

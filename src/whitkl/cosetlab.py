@@ -11,6 +11,7 @@ derived tables are deterministic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -70,19 +71,23 @@ class ThetaCosets:
 
     The order is the Bruhat order of (W', S') on longest coset elements.
     It is kept as one lower ideal per coset: an int bitset over coset ids
-    with bit C set iff C <= D.  Ideals are built on first use and memoised,
-    from the subword property [e, w] = [e, ws] u [e, ws] s for ws < w
-    (Bjorner and Brenti, Combinatorics of Coxeter Groups, Sec. 2.2) read
-    on cosets: ideal(0) = {0}, and for C s shorter than C,
-    ideal(C) = ideal(Cs) u {D s : D in ideal(Cs)}.  Coset ids ascend with
-    length, so ideal(C) has no bit above C.
+    with bit C set iff C <= D.  Ideals are built on first use and memoised.
+    For C s shorter than C,
 
-    One ideal is built without a Python step per bit: the 0/1 flags of
-    ideal(Cs) select, from the move table of the generator s, the ids D s
-    whose powers of two are summed in C.  All ideals together take at most
-    n^2/8 bytes (0.46 MB for D5 with Theta empty), and the table of powers
-    of two, one for all generators, grows only to the highest coset id
-    asked for, about n^2/16 bytes at most.
+        ideal(C) = ideal(Cs) u {C} u U ideal(D s),
+
+    over the lower covers D of C s with D s longer than D.  This is the
+    lifting property (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    Prop. 2.2.7) on a quotient graded by length (Thm 2.5.5; Deodhar,
+    Invent. Math. 39, 1977): a coatom E of C other than C s lies below C s
+    unless E s is shorter than E, and then it is D s for the lower cover
+    D = E s of C s; and every such D s lies below C.  Coset ids ascend
+    with length, so ideal(C) has no bit above C, and the lower covers of
+    C s are the bits of ideal(Cs) in one band of ids, the length below C s.
+    One mask per generator and length marks the D there with D s longer
+    than D; an ideal takes one join per cover it keeps, at most the number
+    of reflections.  All ideals together take at most n^2/8 bytes for n
+    cosets (0.46 MB for D5 with Theta empty).
     """
 
     def __init__(self, group: WeylGroup, members, steps, lengths, theta):
@@ -110,18 +115,20 @@ class ThetaCosets:
                         queue.append(y)
             coset = sorted(inverse[x] for x in orbit)
             seen.update(coset)
-            raw.append(coset)
-        # coset 0 holds the identity and is the unique minimum
-        raw.sort(key=lambda coset: max((lengths[x], x) for x in coset))
+            # stable, so ascending by (length, id): shortest first, longest last
+            by_length = sorted(coset, key=lengths.__getitem__)
+            top = by_length[-1]
+            unique = len(coset) == 1 or lengths[by_length[-2]] < lengths[top]
+            raw.append((lengths[top], top, unique, by_length[0], tuple(coset)))
+        # coset 0 holds the identity and is the unique minimum; the tops
+        # are distinct, so the sort never compares past them
+        raw.sort()
         coset_of: list[int | None] = [None] * self.group.size
         cosets = []
-        for c, coset in enumerate(raw):
-            top = max(lengths[x] for x in coset)
-            longest = [x for x in coset if lengths[x] == top]
-            if len(longest) != 1:
+        for c, (_, top, unique, shortest, coset) in enumerate(raw):
+            if not unique:
                 raise AssertionError(f"coset {c} has no unique longest element")
-            shortest = min(coset, key=lambda x: (lengths[x], x))
-            cosets.append(CosetRecord(c, tuple(coset), longest[0], shortest))
+            cosets.append(CosetRecord(c, coset, top, shortest))
             for x in coset:
                 coset_of[x] = c
         del raw, seen  # the records hold the members; free them for the moves
@@ -137,7 +144,10 @@ class ThetaCosets:
         self._targets = {
             s: self._moves(s, step, ids, longest) for s, step in steps.items()
         }
-        self._powers = [1]  # powers[D] = 1 << D, for every D asked for so far
+        # starts[l] is the first id of length l; the last entry is n
+        heights = range(self.lengths[-1] + 2)
+        self._starts = [bisect.bisect_left(self.lengths, l) for l in heights]
+        self._ascent_masks: dict = {}
 
     def _moves(self, s, step, ids, longest) -> tuple[int, ...]:
         """targets(s), from the element step table of s, after the two
@@ -161,14 +171,33 @@ class ThetaCosets:
         if ideal is None:
             s, lower = self.descent(c)
             below = self.ideal(lower)
-            powers = self._powers
-            if len(powers) <= c:
-                powers.extend(1 << d for d in range(len(powers), c + 1))
-            # right multiplication by s permutes the cosets, so the moved
-            # bits are distinct and their sum is their union
-            moved = itertools.compress(self._targets[s], _flags(below))
-            ideal = self._ideals[c] = below | sum(map(powers.__getitem__, moved))
+            ideal = below | 1 << c
+            if lower:  # coset 0, the minimum, has no lower cover
+                # the lower covers D of C s with D s > D, as offsets from
+                # the first id of their length
+                band = self.lengths[lower] - 1
+                start = self._starts[band]
+                covers = below >> start & self._ascents(s)[band]
+                targets = self._targets[s]
+                for d in _bits(covers):
+                    ideal |= self.ideal(targets[start + d])
+            self._ideals[c] = ideal
         return ideal
+
+    def _ascents(self, s) -> list[int]:
+        """Per length l, the bitset over the cosets D of length l, by offset
+        from the first of them, of those with D s longer than D; empty below
+        the length of coset 0."""
+        ascents = self._ascent_masks.get(s)
+        if ascents is None:
+            lengths = self.lengths
+            moved = map(lengths.__getitem__, self._targets[s])
+            flags = bytes(map(operator.lt, lengths, moved)).translate(_FLAG_BITS)
+            starts = self._starts
+            ascents = self._ascent_masks[s] = [
+                int(flags[a:b][::-1] or b"0", 2) for a, b in zip(starts, starts[1:])
+            ]
+        return ascents
 
     def leq(self, c: int, d: int) -> bool:
         return self.ideal(d) >> c & 1 == 1
@@ -195,6 +224,7 @@ class ThetaCosets:
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _flags(mask: int) -> bytes:

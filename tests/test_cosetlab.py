@@ -597,11 +597,12 @@ def _global_cases(letter, rank, thetas):
     return [(build_theta_cosets(group, theta), steps, lengths) for theta in thetas]
 
 
-def _model_quotients_at_the_singular_nonintegral_weight():
-    group = get_group("D", 5)
-    lam = parse_lambda("0,-1+1*t1,-1/2,-1-1*t1,-1", 5)
-    idata = integral_data(group, (), lam)
-    tc = build_theta_cosets(group, ())
+def _model_quotients(letter, rank, theta, lam_text):
+    """Each distinct model quotient at lam, with its integral system's tables."""
+    group = get_group(letter, rank)
+    lam = parse_lambda(lam_text, rank)
+    idata = integral_data(group, theta, lam)
+    tc = build_theta_cosets(group, theta)
     order = subgroup_bruhat(group, idata)
     models = [build_integral_model(tc, idata, u, order) for u in idata.a_theta_lambda]
     quotients = {id(m.quotient): m.quotient for m in models}.values()
@@ -612,8 +613,21 @@ IDEAL_CASES = {
     "D5-theta-empty": lambda: _global_cases("D", 5, [()]),
     "F4-theta-alpha": lambda: _global_cases("F", 4, [(0,)]),
     "B3-every-theta": lambda: _global_cases("B", 3, _every_theta(3)),
-    "D5-singular-nonintegral-models": (
-        _model_quotients_at_the_singular_nonintegral_weight
+    # Theta = {beta, gamma, delta, epsilon} spans D4 (270 cosets), Theta =
+    # {gamma, delta, epsilon, zeta} spans A4 (432 cosets)
+    "E6-theta-D4-and-A4": lambda: _global_cases("E", 6, [(1, 2, 3, 4), (2, 3, 4, 5)]),
+    "D5-singular-nonintegral-models": lambda: _model_quotients(
+        "D", 5, (), "0,-1+1*t1,-1/2,-1-1*t1,-1"
+    ),
+    "B3-non-integral-models": lambda: [
+        case
+        for theta in _every_theta(3)
+        for case in _model_quotients("B", 3, theta, "-1/2,-1,-1/2")
+    ],
+    # non-simply-laced, with integral systems of rank 4 (96, 192 and 384 cosets)
+    "F4-non-integral-models": lambda: (
+        _model_quotients("F", 4, (), "-1/2,-1,-1,-1/2")
+        + _model_quotients("F", 4, (0,), "-1/2,-1,-1,-1")
     ),
 }
 
@@ -657,11 +671,53 @@ def test_ideals_equal_the_per_bit_union(case):
         for c in reversed(range(tc.n_cosets)):
             assert tc.ideal(c) == expected[c], c
             assert tc.below(c) == [d for d in _bits_by_text(expected[c]) if d != c]
+        # and, on a fresh build, in a random order: an ideal reaches the
+        # ideals of the lower covers it is built from in any order
+        members = [x for record in tc.cosets for x in record.member_ids]
+        fresh = cosetlab.ThetaCosets(tc.group, members, steps, lengths, tc.theta)
         n = tc.n_cosets
+        for c in rng.sample(range(n), n):
+            assert fresh.ideal(c) == expected[c], c
         for _ in range(2000):
             c, d = rng.randrange(n), rng.randrange(n)
             assert tc.leq(c, d) == (expected[d] >> c & 1 == 1), (c, d)
         _assert_moves_by_element_tables(tc, steps, lengths)
+
+
+@pytest.mark.parametrize(
+    "case", ["D5-theta-empty", "F4-theta-alpha", "F4-non-integral-models"]
+)
+def test_an_ideal_joins_the_ideals_of_only_the_covers_that_s_raises(
+    case, monkeypatch
+):
+    requests = []
+    ideal = cosetlab.ThetaCosets.ideal
+
+    def counted(self, c):
+        requests.append(c)
+        return ideal(self, c)
+
+    monkeypatch.setattr(cosetlab.ThetaCosets, "ideal", counted)
+    for tc, _, _ in IDEAL_CASES[case]():
+        expected = _ideals_by_union(tc)
+        # ideal(C) asks for ideal(C s) and, for each lower cover D of C s
+        # with D s > D, for ideal(D s): one join per such cover
+        joins = []
+        for c in range(1, tc.n_cosets):
+            s, lower = tc.descent(c)
+            covers = [
+                d
+                for d in _bits_by_text(expected[lower])
+                if tc.length(d) == tc.length(lower) - 1
+            ]
+            raised = [times_simple(tc, d, s)[0] is CosetStep.RAISE for d in covers]
+            joins.append(sum(raised))
+        assert 0 < max(joins) <= tc.group.rs.positive_root_count
+        requests.clear()
+        # in ascending order, every ideal below C is built when C is asked for
+        for c in range(tc.n_cosets):
+            assert tc.ideal(c) == expected[c], c
+        assert len(requests) == tc.n_cosets + len(joins) + sum(joins)
 
 
 def test_a_move_table_that_is_no_involution_is_refused_at_build():

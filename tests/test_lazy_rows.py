@@ -11,10 +11,13 @@ import pytest
 
 from whitkl import Weight, build_kl_table, build_theta_cosets
 from whitkl.cli import (
+    _CHUNK_CHARS,
     _CHUNK_PIECES,
     Job,
     _Below,
     _Rows,
+    _Shared,
+    parse_lambda,
     render_json,
     run_characters,
     run_cosets,
@@ -115,9 +118,11 @@ def test_rows_of_one_shape_and_empty_rows_match_json_dumps():
     assert_same_text(render_json(doc), _reference_json(doc))
 
 
-# a batch of the JSON writer holds _CHUNK_PIECES rows; each of these takes
-# the generic walk (a bool or None) in one batch and the row pieces in another
-_BATCH = _CHUNK_PIECES
+# a batch of the JSON writer holds the rows of about _CHUNK_PIECES pieces,
+# five for a row of two fields (a key and a value each, and the close);
+# each of these takes the generic walk (a bool or None) in one batch and the
+# row pieces in another
+_BATCH = _CHUNK_PIECES // 5
 _MIXED_BATCHES = {
     "walk-then-pieces": [(True, "x")] + [(k, "y") for k in range(_BATCH + 5)],
     "pieces-then-walk": [(k, "α") for k in range(_BATCH)] + [(0, "x"), (1, False)],
@@ -186,6 +191,13 @@ def test_characters_document_holds_less_than_its_dicts():
 BELOW_CASES = {
     "A3-golden": ("A", 3, (0, 1), lambda_golden_a3()),
     "B3-non-integral": KL_CASES["B3-non-integral"],
+    # 1 920 cosets and 160 models of 12 cosets each
+    "D5-singular-nonintegral": (
+        "D",
+        5,
+        (),
+        parse_lambda("0,-1+1*t1,-1/2,-1-1*t1,-1", 5),
+    ),
 }
 BELOW_COMMANDS = {
     "info": run_info,
@@ -214,6 +226,82 @@ def test_below_lists_follow_the_coset_order(case, command):
         assert len(below) == len(expected)
         assert below == expected and not below != expected
     assert json.loads(text)["cosets"][0]["below"] == []
+
+
+def _entry(group, w):
+    """An element's entry as each row once made its own."""
+    word = group.elements[w].word
+    name = " ".join(f"s_{'αβγδεζ'[i]}" for i in word) or "e"
+    return {"word": list(word), "name": name}
+
+
+@pytest.mark.parametrize("case", sorted(BELOW_CASES))
+def test_coset_and_model_rows_are_the_dicts_they_replace(case):
+    letter, rank, theta, lam = BELOW_CASES[case]
+    group = get_group(letter, rank)
+    data = run_klpolys(Job(letter, rank, theta, lam))
+    table = build_kl_table(group, theta, lam)
+    tc = table.tc
+    assert type(data["cosets"]) is _Rows
+    assert list(data["cosets"]) == [
+        {
+            "id": r.id,
+            "longest": _entry(group, r.longest),
+            "shortest": _entry(group, r.shortest),
+            "length": group.length(r.longest),
+            "below": tc.below(r.id),
+        }
+        for r in tc.cosets
+    ]
+    assert len(data["models"]) == len(table.models)
+    for entry, model in zip(data["models"], table.models):
+        assert entry["u"] == _entry(group, model.u)
+        assert type(entry["cosets"]) is _Rows
+        assert entry["cosets"] == [
+            {
+                "id": f.id,
+                "longest": _entry(group, f.longest),
+                "length_lambda": model.length(f.id),
+                "global": model.ind[f.id],
+            }
+            for f in model.cosets
+        ]
+    # one entry per element, shared by every row that names it
+    longest = [row["longest"] for row in data["cosets"]]
+    assert all(type(e) is _Shared for e in longest)
+    assert len({id(e) for e in longest}) == len({r.longest for r in tc.cosets})
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_COMMANDS))
+def test_a_document_renders_twice_to_the_same_text(command):
+    letter, rank, theta, lam = BELOW_CASES["B3-non-integral"]
+    data = BELOW_COMMANDS[command](Job(letter, rank, theta, lam))
+    first = render_json(data)
+    assert_same_text(render_json(data), first)
+    assert_same_text(first, _reference_json(data))
+
+
+def test_shared_dicts_and_long_rows_match_json_dumps():
+    # a _Shared dict in two columns, at two indents, holding a list, rows
+    # whose below lists outgrow a chunk, and columns the pieces do not take
+    shared = _Shared(word=[1, 2], name="s_β s_γ")
+    empty = _Shared(word=[], name="e")
+    wide = (1 << 300) - 1
+    rows = [
+        (i, shared if i % 2 else empty, _Below(wide >> i % 300), shared)
+        for i in range(600)
+    ]
+    doc = {
+        "rows": _Rows(("id", "a", "below", "b"), lambda: iter(rows), len(rows)),
+        "nested": [{"deeper": _Rows(("x",), lambda: iter([(shared,), (empty,)]), 2)}],
+        "mixed": _Rows(("x",), lambda: iter([(shared,), (1,)]), 2),
+        "plain": shared,
+    }
+    chunks = []
+    render_json(doc, chunks.append)
+    # after a batch of long rows, each batch is near one chunk's characters
+    assert len(chunks) > 5 and max(map(len, chunks[1:-1])) < 4 * _CHUNK_CHARS
+    assert_same_text("".join(chunks), _reference_json(doc))
 
 
 def test_below_wider_than_every_id_text_so_far_matches_json_dumps():

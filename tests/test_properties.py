@@ -19,10 +19,12 @@ from whitkl.klengine import (  # noqa: E402
     _tuple_over_q,
     _tuple_submul,
     _tuple_times_q,
+    build_models,
 )
 from whitkl.oracle import _encode, recompute_subgroups, weight_orbit  # noqa: E402
 
 from conftest import get_group  # noqa: E402
+from test_cosetlab import _ideals_by_union  # noqa: E402
 
 RANK_AT_MOST_3 = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -73,6 +75,20 @@ def test_path_b_agrees_with_path_a(case, data):
     theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
     table = build_kl_table(get_group(letter, rank), theta, lam)
     assert phi_direct(table.tc, lam) == table.phi
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_weight(), st.data())
+def test_model_quotient_ideals_equal_the_per_bit_union(case, data):
+    letter, rank, lam = case
+    theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
+    _, _, models = build_models(get_group(letter, rank), theta, lam)
+    # models with equal Theta(u,lambda) share a quotient: check each once,
+    # on its first requests, in a drawn order
+    for quotient in {id(m.quotient): m.quotient for m in models}.values():
+        expected = _ideals_by_union(quotient)
+        order = data.draw(st.permutations(range(quotient.n_cosets)), label="order")
+        assert [quotient.ideal(c) for c in order] == [expected[c] for c in order]
 
 
 @st.composite
