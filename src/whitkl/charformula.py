@@ -207,7 +207,7 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for v in labels:
         c = tc.coset_of[v]
-        if tc.cosets[c].shortest != v:
+        if tc.shortest[c] != v:
             raise AssertionError("stabilizer representative is not coset-shortest")
         coeffs = phi[c].coeffs
         acc: dict[int, int] = {}
@@ -220,4 +220,4 @@ def singular_formula(kl: KLTable, stab: StabilizerData) -> CharacterFormula:
 
 def verma_formula(kl: KLTable) -> CharacterFormula:
     """The regular rows of a table with empty Theta, labelled by elements."""
-    return _regular(kl, "element", [c.member_ids[0] for c in kl.tc.cosets])
+    return _regular(kl, "element", list(kl.tc.longest))

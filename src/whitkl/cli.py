@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter, lshift, xor
+from operator import itemgetter, lshift, xor
 
 from . import laurent
 from .charformula import (
@@ -66,7 +66,8 @@ class InputError(ValueError):
 
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)(?:/(?P<den>\d+))?\s*"
-    r"(?:\*\s*t(?P<tk>\d+))?\s*"
+    r"(?:\*\s*t(?P<tk>\d+))?\s*",
+    re.ASCII,
 )
 
 
@@ -150,7 +151,7 @@ def parse_theta(text: str, rank: int) -> tuple[int, ...]:
             idx = GREEK.index(name)
         elif name.lower() in GREEK_NAMES:
             idx = GREEK_NAMES.index(name.lower())
-        elif name.isdigit():
+        elif name.isascii() and name.isdigit():
             idx = int(name) - 1
         else:
             raise InputError(f"unknown simple root {name!r}")
@@ -161,7 +162,7 @@ def parse_theta(text: str, rank: int) -> tuple[int, ...]:
 
 
 def parse_type(text: str):
-    m = re.fullmatch(r"\s*([A-Ga-g])\s*(\d+)\s*", text)
+    m = re.fullmatch(r"\s*([A-Ga-g])\s*(\d+)\s*", text, re.ASCII)
     if not m:
         raise InputError(f"cannot parse type {text!r}; expected e.g. A3, B2, G2")
     return m.group(1).upper(), int(m.group(2))
@@ -262,14 +263,11 @@ class _Elements(dict):
         return entry
 
 
-_longest, _shortest = attrgetter("longest"), attrgetter("shortest")
-
-
 def _coset_rows(job, tc) -> _Rows:
     """The rows of tc's cosets: id, longest, shortest, length, below."""
     entry = job.elements.__getitem__
-    longest = list(map(entry, map(_longest, tc.cosets)))
-    shortest = list(map(entry, map(_shortest, tc.cosets)))
+    longest = list(map(entry, tc.longest))
+    shortest = list(map(entry, tc.shortest))
     ids = range(tc.n_cosets)
     # built here, so that a broken order fails before the first byte
     ideals = list(map(tc.ideal, ids))
@@ -284,7 +282,7 @@ def _coset_rows(job, tc) -> _Rows:
 
 def _model_entry(job, model):
     quotient = model.quotient
-    longest = list(map(job.elements.__getitem__, map(_longest, quotient.cosets)))
+    longest = list(map(job.elements.__getitem__, quotient.longest))
     return {
         "u": job.elements[model.u],
         "theta_u_lambda": [root_name(job.rs, r) for r in model.theta_u_lambda],
@@ -375,9 +373,9 @@ def run_characters(job, invert=False, verma=False):
             cf = singular_formula(table, stab)
 
     # each entry's label is the label of a row
-    cosets = table.tc.cosets if cf.label_kind == "coset" else None
+    longest = table.tc.longest if cf.label_kind == "coset" else None
     names = {
-        x: job.elements[x if cosets is None else cosets[x].longest]["name"]
+        x: job.elements[x if longest is None else longest[x]]["name"]
         for x in cf.labels
     }
     name = names.__getitem__

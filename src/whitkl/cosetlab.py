@@ -27,7 +27,6 @@ from .rootsystem import (
 from .weylgroup import WeylGroup
 
 __all__ = [
-    "CosetRecord",
     "ThetaCosets",
     "IntegralData",
     "IntegralModel",
@@ -39,14 +38,6 @@ __all__ = [
     "stabilizer_data",
     "subgroup_bruhat",
 ]
-
-
-@dataclass(frozen=True)
-class CosetRecord:
-    id: int
-    member_ids: tuple[int, ...]
-    longest: int
-    shortest: int
 
 
 class ThetaCosets:
@@ -61,6 +52,12 @@ class ThetaCosets:
     ``build_theta_cosets`` makes (W, simple reflections, Theta), and
     ``IntegralSystem.cosets`` makes (W_lambda, reflections of Pi_lambda,
     Theta(u,lambda)) for the integral models.  ``theta`` holds J.
+
+    The per-coset facts are columns indexed by coset id: ``members[C]``
+    (C's member ids, ascending), ``longest[C]`` and ``shortest[C]`` (its
+    unique longest and a shortest member, by ``lengths``) and
+    ``lengths[C]`` (the length of ``longest[C]``); ``coset_of`` maps each
+    member id back to its coset id.
 
     Every move C -> C s is read from one table of n ids per generator, for
     n cosets: targets(s)[C] is the coset of w^C s, for C's longest element
@@ -99,10 +96,12 @@ class ThetaCosets:
         # W_J w = (w^-1 W_J)^-1, and w^-1 W_J is a right-step orbit
         inverse = self.group.inverse
         theta_steps = [steps[j] for j in self.theta]
-        seen = set()
-        raw = []
+        # marks each member with the place its coset is found at, until
+        # the sort gives the ids
+        coset_of: list[int | None] = [None] * self.group.size
+        cosets, tops, bottoms, crowded = [], [], [], []
         for start in members:
-            if start in seen:
+            if coset_of[start] is not None:
                 continue
             orbit = {inverse[start]}
             queue = [inverse[start]]
@@ -113,46 +112,45 @@ class ThetaCosets:
                     if y not in orbit:
                         orbit.add(y)
                         queue.append(y)
-            coset = sorted(inverse[x] for x in orbit)
-            seen.update(coset)
+            coset = sorted(map(inverse.__getitem__, orbit))
+            for x in coset:
+                coset_of[x] = len(cosets)
             # stable, so ascending by (length, id): shortest first, longest last
             by_length = sorted(coset, key=lengths.__getitem__)
             top = by_length[-1]
-            unique = len(coset) == 1 or lengths[by_length[-2]] < lengths[top]
-            raw.append((lengths[top], top, unique, by_length[0], tuple(coset)))
-        # coset 0 holds the identity and is the unique minimum; the tops
-        # are distinct, so the sort never compares past them
-        raw.sort()
-        coset_of: list[int | None] = [None] * self.group.size
-        cosets = []
-        for c, (_, top, unique, shortest, coset) in enumerate(raw):
-            if not unique:
-                raise AssertionError(f"coset {c} has no unique longest element")
-            cosets.append(CosetRecord(c, coset, top, shortest))
-            for x in coset:
-                coset_of[x] = c
-        del raw, seen  # the records hold the members; free them for the moves
-        self.cosets = cosets
-        self.coset_of = coset_of
-        self.n_cosets = len(cosets)
-        self.w_theta_ids = frozenset(cosets[0].member_ids)
-        longest = [c.longest for c in cosets]
-        self.lengths = tuple(map(lengths.__getitem__, longest))
-        self._ideals: list[int | None] = [1] + [None] * (len(cosets) - 1)
-        # the records' own id objects, so no new ints, compared by identity
-        ids = list(map(operator.attrgetter("id"), cosets))
-        self._targets = {
-            s: self._moves(s, step, ids, longest) for s, step in steps.items()
-        }
+            if len(coset) > 1 and lengths[by_length[-2]] == lengths[top]:
+                crowded.append(top)
+            cosets.append(tuple(coset))
+            tops.append(top)
+            bottoms.append(by_length[0])
+        # ids ascend by (length, longest element), both sorts being stable;
+        # coset 0 holds the identity and is the unique minimum
+        top_lengths = list(map(lengths.__getitem__, tops))
+        order = sorted(range(len(cosets)), key=tops.__getitem__)
+        order.sort(key=top_lengths.__getitem__)
+        self.members, self.longest, self.shortest, self.lengths = (
+            tuple(map(column.__getitem__, order))
+            for column in (cosets, tops, bottoms, top_lengths)
+        )
+        if crowded:
+            c = min(map(self.longest.index, crowded))
+            raise AssertionError(f"coset {c} has no unique longest element")
+        ids = list(range(len(order)))
+        # one int object per id, shared by coset_of and the move tables
+        self.coset_of = list(map(dict(zip(order, ids)).get, coset_of))
+        self.n_cosets = len(ids)
+        self.w_theta_ids = frozenset(self.members[0])
+        self._ideals: list[int | None] = [1] + [None] * (len(ids) - 1)
+        self._targets = {s: self._moves(s, step, ids) for s, step in steps.items()}
         # starts[l] is the first id of length l; the last entry is n
         heights = range(self.lengths[-1] + 2)
         self._starts = [bisect.bisect_left(self.lengths, l) for l in heights]
         self._ascent_masks: dict = {}
 
-    def _moves(self, s, step, ids, longest) -> tuple[int, ...]:
+    def _moves(self, s, step, ids) -> tuple[int, ...]:
         """targets(s), from the element step table of s, after the two
-        checks the class docstring names; ids lists the coset ids and
-        longest their longest elements."""
+        checks the class docstring names; ids lists the coset ids."""
+        longest = self.longest
         moved = list(map(step.__getitem__, longest))  # w^C s
         targets = list(map(self.coset_of.__getitem__, moved))
         if list(map(targets.__getitem__, targets)) != ids:
@@ -409,7 +407,6 @@ class IntegralModel:
         self.pi_lambda = idata.pi_lambda
         self.order = order if order is not None else subgroup_bruhat(group, idata)
         self.quotient = self.order.cosets(self.theta_u_lambda)
-        self.cosets = self.quotient.cosets
         self.coset_of = self.quotient.coset_of
         self.n_cosets = self.quotient.n_cosets
         self._build_transport()
@@ -418,8 +415,8 @@ class IntegralModel:
         group = self.group
         tc = self.tc
         ind = []
-        for f in self.cosets:
-            targets = {tc.coset_of[group.mult(self.u, x)] for x in f.member_ids}
+        for members in self.quotient.members:
+            targets = {tc.coset_of[group.mult(self.u, x)] for x in members}
             if len(targets) != 1:
                 raise AssertionError("ind is not well defined on a model coset")
             ind.append(targets.pop())

@@ -304,7 +304,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     quotient = model.quotient
     n = quotient.n_cosets
     tag = model_tag(model)
-    if 0 not in quotient.cosets[0].member_ids:
+    if 0 not in quotient.members[0]:
         raise AssertionError("base model coset does not contain the identity")
     if n > 1 << _COSET_BITS:
         raise AssertionError(f"{n} cosets in one model")

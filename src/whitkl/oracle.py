@@ -214,10 +214,10 @@ def kl_classical_relation_check(group: WeylGroup, lam: Weight) -> bool:
         raise ValueError("classical comparison needs an integral regular weight")
     table = build_kl_table(group, (), lam)
     coset_of_elt = {}
-    for c in table.tc.cosets:
-        if len(c.member_ids) != 1:
+    for c, members in enumerate(table.tc.members):
+        if len(members) != 1:
             raise AssertionError("cosets are not singletons with empty theta")
-        coset_of_elt[c.member_ids[0]] = c.id
+        coset_of_elt[members[0]] = c
     oracle_p = classical_kl(group)
     polys = table.polys
     for (v, w), poly in oracle_p.items():
@@ -228,8 +228,8 @@ def kl_classical_relation_check(group: WeylGroup, lam: Weight) -> bool:
             return False
     # no extra support on the engine side
     for (cw, cv), poly in polys.items():
-        w = table.tc.cosets[cw].member_ids[0]
-        v = table.tc.cosets[cv].member_ids[0]
+        w = table.tc.members[cw][0]
+        v = table.tc.members[cv][0]
         if poly and (v, w) not in oracle_p:
             return False
     return True
@@ -286,7 +286,7 @@ def recompute_cosets(
         for x in members:
             assigned[x] = len(naive_cosets)
         naive_cosets.append(members)
-    production = {frozenset(c.member_ids) for c in tc.cosets}
+    production = set(map(frozenset, tc.members))
     ok = production == set(naive_cosets)
     report.add(
         "right-cosets-partition",
@@ -308,8 +308,8 @@ def recompute_cosets(
             longest_set.add(w)
         if all(inv_images[i] < p for i in theta):
             shortest_set.add(w)
-    long_diff = {c.longest for c in tc.cosets} ^ longest_set
-    short_diff = {c.shortest for c in tc.cosets} ^ shortest_set
+    long_diff = set(tc.longest) ^ longest_set
+    short_diff = set(tc.shortest) ^ shortest_set
     ok = not long_diff and not short_diff
     report.add(
         "coset-representatives",
@@ -358,10 +358,10 @@ def recompute_cosets(
             continue
         cmin = minima[0]
         inside = set(idata.a_lambda) & dc
-        if not inside <= set(tc.cosets[cmin].member_ids):
+        if not inside <= set(tc.members[cmin]):
             smallest_ok = False
             witness = f"A_lambda leaks outside coset {cmin} in dc of {min(dc)}"
-        short = tc.cosets[cmin].shortest
+        short = tc.shortest[cmin]
         if short not in set(idata.a_lambda):
             smallest_ok = False
             witness = f"shortest {short} of coset {cmin} is not in A_lambda"
@@ -380,13 +380,14 @@ def recompute_cosets(
     chain_pairs = model_order_reflection_chains(group, idata)
     for model in models:
         u = model.u
+        fs = range(model.n_cosets)
         u_w_lambda = {group.mult(u, v) for v in w_lambda}
         blocks = {}
         for x in u_w_lambda:
             blocks.setdefault(tc.coset_of[x], set()).add(x)
         model_blocks = {
-            model.ind[f.id]: {group.mult(u, v) for v in f.member_ids}
-            for f in model.cosets
+            model.ind[f]: {group.mult(u, v) for v in members}
+            for f, members in enumerate(model.quotient.members)
         }
         ok = blocks == model_blocks
         report.add(
@@ -397,11 +398,10 @@ def recompute_cosets(
         )
         bad = next(
             (
-                (f.id, g.id)
-                for f in model.cosets
-                for g in model.cosets
-                if model.leq(f.id, g.id)
-                and not tc.leq(model.ind[f.id], model.ind[g.id])
+                (f, g)
+                for f in fs
+                for g in fs
+                if model.leq(f, g) and not tc.leq(model.ind[f], model.ind[g])
             ),
             None,
         )
@@ -412,12 +412,13 @@ def recompute_cosets(
             None if bad is None else f"model pair {bad}",
         )
         # model order against the reflection-chain oracle inside W_lambda
+        longest = model.quotient.longest
         bad = next(
             (
-                (f.id, g.id)
-                for f in model.cosets
-                for g in model.cosets
-                if model.leq(f.id, g.id) != ((f.longest, g.longest) in chain_pairs)
+                (f, g)
+                for f in fs
+                for g in fs
+                if model.leq(f, g) != ((longest[f], longest[g]) in chain_pairs)
             ),
             None,
         )
@@ -568,7 +569,7 @@ def times_simple(tc: ThetaCosets, c: int, s) -> tuple[CosetStep, int]:
 
 def times_element(tc: ThetaCosets, c: int, w: int) -> int:
     """Coset of C w (well-defined from any member)."""
-    return tc.coset_of[tc.group.mult(tc.cosets[c].longest, w)]
+    return tc.coset_of[tc.group.mult(tc.longest[c], w)]
 
 
 def inversion_set(group: WeylGroup, w: int) -> frozenset[int]:
@@ -683,14 +684,14 @@ def conjugate_model(model: IntegralModel, beta: int):
     new_lam = group.act_on_weight(s_b, lam)
     new_idata = integral_data(group, tc.theta, new_lam)
     j = group.mult(model.u, s_b)
-    r = tc.cosets[tc.coset_of[j]].shortest
+    r = tc.shortest[tc.coset_of[j]]
     if r not in new_idata.a_theta_lambda:
         raise AssertionError("conjugated representative escaped A_Theta_lambda")
     new_model = IntegralModel(tc, new_idata, r)
     mapping = {}
-    for f in model.cosets:
-        x = group.mult(group.mult(s_b, f.longest), s_b)
-        mapping[f.id] = new_model.coset_of[x]
+    for f, top in enumerate(model.quotient.longest):
+        x = group.mult(group.mult(s_b, top), s_b)
+        mapping[f] = new_model.coset_of[x]
     if len(set(mapping.values())) != model.n_cosets or model.n_cosets != new_model.n_cosets:
         raise AssertionError("conjugation did not give a coset bijection")
     return new_model, mapping

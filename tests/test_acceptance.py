@@ -380,7 +380,7 @@ def test_criterion_6_singular_degeneration():
         assert stab.w_stab_ids == frozenset({0})
         singular = singular_formula(table, stab)
         regular = regular_formula(table)
-        shortest_of = {c.id: c.shortest for c in table.tc.cosets}
+        shortest_of = dict(enumerate(table.tc.shortest))
         for c, entries in regular.rows.items():
             translated = tuple(
                 sorted((shortest_of[d], coeff) for d, coeff in entries)
@@ -402,7 +402,7 @@ def test_criterion_6_singular_degeneration():
             for (cc, d), poly in table.polys.items():
                 if cc != c:
                     continue
-                d_member = tc.cosets[d].shortest
+                d_member = tc.shortest[d]
                 z_of_d = next(
                     z
                     for z in stab.a_theta_stab

@@ -96,7 +96,7 @@ def test_singular_degenerates_to_regular(table_g, cf_g):
     g = table_g.group
     stab = stabilizer_data(g, (0, 1), table_g.lam)
     singular = singular_formula(table_g, stab)
-    shortest_of = {c.id: c.shortest for c in table_g.tc.cosets}
+    shortest_of = dict(enumerate(table_g.tc.shortest))
     assert set(singular.labels) == {shortest_of[c] for c in cf_g.labels}
     for c, entries in cf_g.rows.items():
         translated = tuple(
@@ -131,7 +131,7 @@ def test_singular_a2_matches_bruteforce_grouping():
     stab = stabilizer_data(g, (), lam)
     cf = singular_formula(table, stab)
     tc = table.tc
-    elt_of = {c.id: c.member_ids[0] for c in tc.cosets}
+    elt_of = {c: members[0] for c, members in enumerate(tc.members)}
     coset_of_elt = {v: k for k, v in elt_of.items()}
     for v in stab.a_theta_stab:
         acc = {}
@@ -206,7 +206,7 @@ def test_verma_mode_golden_a3_block_support():
 def test_verma_formula_is_regular_formula_relabelled_by_element(lam):
     table = build_kl_table(get_group("B", 3), (), lam)
     cf = regular_formula(table)
-    member = [c.member_ids[0] for c in table.tc.cosets]
+    member = [members[0] for members in table.tc.members]
     verma = verma_formula(table)
     assert verma.mode == "regular" and verma.label_kind == "element"
     assert verma.labels == tuple(member[c] for c in cf.labels)

@@ -235,6 +235,24 @@ def test_input_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (("--type", "A٢", "--lambda=-1,-1"), "cannot parse type"),
+        (("--type", "A2", "--lambda=-١,-1"), "syntax error at position 0"),
+        (("--type", "A2", "--theta", "١", "--lambda=-1,-1"), "unknown simple root"),
+    ],
+)
+def test_non_ascii_digits_are_input_errors(capsys, argv, message):
+    # the grammar is ASCII: an Arabic-Indic digit (U+0661 one, U+0662 two)
+    # reads as no digit at all
+    code, out, err = run_cli(capsys, *argv, "info")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (("--type", "B1", "--lambda=-1,-1"), "B1 is not a valid finite type"),
         (("--type", "A0", "--lambda="), "rank 0 out of range 1..6"),
         (("--type", "A9", "--lambda=-1"), "rank 9 out of range 1..6"),

@@ -59,12 +59,12 @@ def idata_g(a3):
 def test_empty_theta_gives_singletons(a3):
     tc = build_theta_cosets(a3, ())
     assert tc.n_cosets == a3.size
-    for c in tc.cosets:
-        assert len(c.member_ids) == 1
+    for members in tc.members:
+        assert len(members) == 1
     # order coincides with Bruhat order on elements
-    for c in tc.cosets:
-        for d in tc.cosets:
-            assert tc.leq(c.id, d.id) == a3.bruhat_leq(c.member_ids[0], d.member_ids[0])
+    for c, (x,) in enumerate(tc.members):
+        for d, (y,) in enumerate(tc.members):
+            assert tc.leq(c, d) == a3.bruhat_leq(x, y)
 
 
 def _every_theta(rank):
@@ -90,7 +90,7 @@ def test_coset_order_is_the_bruhat_order_of_longest_elements(letter, rank, theta
     group = get_group(letter, rank)
     for theta in thetas:
         tc = build_theta_cosets(group, theta)
-        longest = [c.longest for c in tc.cosets]
+        longest = tc.longest
         for c in range(tc.n_cosets):
             expected = [
                 d
@@ -105,12 +105,12 @@ def test_coset_order_is_the_bruhat_order_of_longest_elements(letter, rank, theta
 def test_full_theta_single_coset(a3):
     tc = build_theta_cosets(a3, (0, 1, 2))
     assert tc.n_cosets == 1
-    assert tc.cosets[0].longest == a3.longest_id
+    assert tc.longest[0] == a3.longest_id
 
 
 def test_golden_a3_cosets(a3, tc_g):
     assert tc_g.n_cosets == 4
-    longest = words(a3, [c.longest for c in tc_g.cosets])
+    longest = words(a3, tc_g.longest)
     assert longest == [
         (0, 1, 0),
         (0, 1, 0, 2),
@@ -130,9 +130,9 @@ def test_coset_count_times_subgroup_size(a3):
 
 def test_representative_characterizations(a3, tc_g):
     p = a3.rs.positive_root_count
-    for c in tc_g.cosets:
-        inv_long = root_images(a3, a3.inverse[c.longest])
-        inv_short = root_images(a3, a3.inverse[c.shortest])
+    for top, bottom in zip(tc_g.longest, tc_g.shortest):
+        inv_long = root_images(a3, a3.inverse[top])
+        inv_short = root_images(a3, a3.inverse[bottom])
         for i in tc_g.theta:
             assert inv_long[i] >= p  # longest sends theta negative
             assert inv_short[i] < p  # shortest keeps theta positive
@@ -145,14 +145,14 @@ def test_times_simple_examples(a3, tc_g):
     # gamma raises the base coset to the one topped by s_a s_b s_a s_g
     step, target = times_simple(tc_g, 0, 2)
     assert step is CosetStep.RAISE
-    assert a3.elements[tc_g.cosets[target].longest].word == (0, 1, 0, 2)
+    assert a3.elements[tc_g.longest[target]].word == (0, 1, 0, 2)
     # W_Theta s_g s_b times beta lowers to the same coset
     sgsb_coset = next(
-        c.id for c in tc_g.cosets if a3.elements[c.shortest].word == (2, 1)
+        c for c, x in enumerate(tc_g.shortest) if a3.elements[x].word == (2, 1)
     )
     step, target = times_simple(tc_g, sgsb_coset, 1)
     assert step is CosetStep.LOWER
-    assert a3.elements[tc_g.cosets[target].longest].word == (0, 1, 0, 2)
+    assert a3.elements[tc_g.longest[target]].word == (0, 1, 0, 2)
 
 
 def test_times_simple_partition_is_exclusive(a3, tc_g):
@@ -193,11 +193,11 @@ def test_integral_model_u1(a3, tc_g, idata_g):
     model = build_integral_model(tc_g, idata_g, 0)
     assert named_roots(rs, model.theta_u_lambda) == {(1, 1, 0)}
     assert model.n_cosets == 3
-    longest = words(a3, [f.longest for f in model.cosets])
+    longest = words(a3, model.quotient.longest)
     # s_{a+b}, s_{a+b} s_g, s_{a+b+g} as elements of W
     assert longest == [(0, 1, 0), (0, 1, 0, 2), (0, 1, 2, 1, 0)]
     # ind sends them to W_Theta, W_Theta s_a s_b s_a s_g, W_Theta w_0
-    assert [tc_g.cosets[c].longest for c in model.ind] == [
+    assert [tc_g.longest[c] for c in model.ind] == [
         longest_element_of_parabolic(a3, (0, 1)),
         next(w.id for w in a3.elements if w.word == (0, 1, 0, 2)),
         a3.longest_id,
@@ -209,7 +209,7 @@ def test_integral_model_u_sgsb(a3, tc_g, idata_g):
     model = build_integral_model(tc_g, idata_g, u)
     assert set(model.theta_u_lambda) == set(idata_g.pi_lambda)
     assert model.n_cosets == 1
-    assert a3.elements[tc_g.cosets[model.ind[0]].shortest].word == (2, 1)
+    assert a3.elements[tc_g.shortest[model.ind[0]]].word == (2, 1)
 
 
 def test_integral_model_rejects_bad_u(a3, tc_g, idata_g):
@@ -220,10 +220,10 @@ def test_integral_model_rejects_bad_u(a3, tc_g, idata_g):
 def test_model_order_unitriangular_with_ind(a3, tc_g, idata_g):
     for u in idata_g.a_theta_lambda:
         model = build_integral_model(tc_g, idata_g, u)
-        for f in model.cosets:
-            for g in model.cosets:
-                if model.leq(f.id, g.id):
-                    assert tc_g.leq(model.ind[f.id], model.ind[g.id])
+        for f in range(model.n_cosets):
+            for g in range(model.n_cosets):
+                if model.leq(f, g):
+                    assert tc_g.leq(model.ind[f], model.ind[g])
 
 
 def test_conjugate_model_alpha(a3, tc_g, idata_g):
@@ -235,9 +235,9 @@ def test_conjugate_model_alpha(a3, tc_g, idata_g):
     # Theta(r, s_a lam) = s_a {a+b} = {b}
     assert named_roots(rs, new_model.theta_u_lambda) == {(0, 1, 0)}
     # commuting square: ind_{s_b lam}(map(F)) = ind_lam(F) . s_b
-    for f in model.cosets:
-        lhs = new_model.ind[mapping[f.id]]
-        rhs = times_simple(tc_g, model.ind[f.id], 0)[1]
+    for f in range(model.n_cosets):
+        lhs = new_model.ind[mapping[f]]
+        rhs = times_simple(tc_g, model.ind[f], 0)[1]
         assert lhs == rhs
 
 
@@ -248,8 +248,8 @@ def test_conjugate_model_involution(a3, tc_g, idata_g):
     assert back.u == model.u
     assert back.idata.lam == model.idata.lam
     assert back.ind == model.ind
-    for f in model.cosets:
-        assert map2[map1[f.id]] == f.id
+    for f in range(model.n_cosets):
+        assert map2[map1[f]] == f
 
 
 def test_conjugate_model_single_coset(a3, tc_g, idata_g):
@@ -270,19 +270,19 @@ def test_descent_chain_examples(a3, tc_g, idata_g):
     rs = a3.rs
     # C = W_Theta s_a s_b s_a s_g with u = 1: gamma works directly
     c1 = next(
-        c.id for c in tc_g.cosets if a3.elements[c.longest].word == (0, 1, 0, 2)
+        c for c, x in enumerate(tc_g.longest) if a3.elements[x].word == (0, 1, 0, 2)
     )
     alpha, chain = descent_chain(tc_g, idata_g, c1)
     assert rs.roots[alpha] == (0, 0, 1)
     assert chain == []
     # C = W_Theta w_0 with u = 1: needs the chain [alpha]
-    cw0 = next(c.id for c in tc_g.cosets if c.longest == a3.longest_id)
+    cw0 = tc_g.longest.index(a3.longest_id)
     alpha, chain = descent_chain(tc_g, idata_g, cw0)
     assert rs.roots[alpha] == (1, 1, 0)
     assert chain == [0]
     # C = W_Theta s_g s_b is minimal in its double coset
     c2 = next(
-        c.id for c in tc_g.cosets if a3.elements[c.shortest].word == (2, 1)
+        c for c, x in enumerate(tc_g.shortest) if a3.elements[x].word == (2, 1)
     )
     with pytest.raises(ValueError):
         descent_chain(tc_g, idata_g, c2)
@@ -340,7 +340,7 @@ def test_stabilizer_regular(a3):
     stab = stabilizer_data(a3, (0, 1), lambda_golden_a3())
     assert stab.w_stab_ids == frozenset({0})
     tc = build_theta_cosets(a3, (0, 1))
-    assert set(stab.a_theta_stab) == {c.shortest for c in tc.cosets}
+    assert set(stab.a_theta_stab) == set(tc.shortest)
 
 
 def test_stabilizer_a2_example():
@@ -527,10 +527,11 @@ def test_model_order_matches_reflection_chains_rank_4(
     assert len({m.theta_u_lambda for m in models}) == n_classes
     chain_pairs = model_order_reflection_chains(g, idata)
     for model in models:
-        for f in model.cosets:
-            for h in model.cosets:
-                expected = (f.longest, h.longest) in chain_pairs
-                assert model.leq(f.id, h.id) == expected, (model.u, f.id, h.id)
+        longest = model.quotient.longest
+        for f in range(model.n_cosets):
+            for h in range(model.n_cosets):
+                expected = (longest[f], longest[h]) in chain_pairs
+                assert model.leq(f, h) == expected, (model.u, f, h)
 
 
 def test_models_with_equal_theta_u_lambda_share_one_quotient():
@@ -637,8 +638,7 @@ def _assert_moves_by_element_tables(tc, steps, lengths):
     element tables: C s is the coset of w^C s, for C's longest element
     w^C, which is the longest element of C s when it moves C, and C s is
     longer or shorter than C as its longest element is."""
-    for record in tc.cosets:
-        c, top = record.id, record.longest
+    for c, top in enumerate(tc.longest):
         assert tc.length(c) == lengths[top], c
         descent = None
         for s, step in steps.items():
@@ -647,7 +647,7 @@ def _assert_moves_by_element_tables(tc, steps, lengths):
             if target == c:
                 expected = (CosetStep.FIX, c)
             else:
-                assert tc.cosets[target].longest == x, (c, s)
+                assert tc.longest[target] == x, (c, s)
                 if lengths[x] > lengths[top]:
                     expected = (CosetStep.RAISE, target)
                 else:
@@ -673,7 +673,7 @@ def test_ideals_equal_the_per_bit_union(case):
             assert tc.below(c) == [d for d in _bits_by_text(expected[c]) if d != c]
         # and, on a fresh build, in a random order: an ideal reaches the
         # ideals of the lower covers it is built from in any order
-        members = [x for record in tc.cosets for x in record.member_ids]
+        members = [x for coset in tc.members for x in coset]
         fresh = cosetlab.ThetaCosets(tc.group, members, steps, lengths, tc.theta)
         n = tc.n_cosets
         for c in rng.sample(range(n), n):
@@ -682,6 +682,23 @@ def test_ideals_equal_the_per_bit_union(case):
             c, d = rng.randrange(n), rng.randrange(n)
             assert tc.leq(c, d) == (expected[d] >> c & 1 == 1), (c, d)
         _assert_moves_by_element_tables(tc, steps, lengths)
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_CASES))
+def test_coset_columns_partition_the_group_by_length(case):
+    # lengths is the length function of W' by id: ell on W, or ell_lambda
+    # on W_lambda for a model quotient, where the two differ
+    for tc, _, lengths in IDEAL_CASES[case]():
+        ids = lengths.keys() if isinstance(lengths, dict) else range(len(lengths))
+        assert sorted(x for members in tc.members for x in members) == sorted(ids)
+        assert sum(c is not None for c in tc.coset_of) == len(ids)
+        for c, members in enumerate(tc.members):
+            assert list(members) == sorted(members), c
+            assert {tc.coset_of[x] for x in members} == {c}
+            top = max(lengths[x] for x in members)
+            assert [x for x in members if lengths[x] == top] == [tc.longest[c]], c
+            assert lengths[tc.shortest[c]] == min(lengths[x] for x in members), c
+            assert tc.shortest[c] in members and tc.length(c) == top, c
 
 
 @pytest.mark.parametrize(
@@ -733,11 +750,12 @@ def test_a_move_off_the_longest_element_is_refused_at_build():
     group = get_group("B", 3)
     steps, lengths = _element_tables(group)
     tc = build_theta_cosets(group, (0,))
-    record = next(r for r in tc.cosets if times_simple(tc, r.id, 1)[0] is CosetStep.RAISE)
-    target = tc.cosets[times_simple(tc, record.id, 1)[1]]
+    raised = [times_simple(tc, c, 1)[0] is CosetStep.RAISE for c in range(tc.n_cosets)]
+    c = raised.index(True)
+    target = times_simple(tc, c, 1)[1]
     # w^C s_1 now lands on the shortest element of C s_1: every coset keeps
     # its target, so only the longest-element check can see it
-    steps[1][record.longest] = target.shortest
+    steps[1][tc.longest[c]] = tc.shortest[target]
     with pytest.raises(
         AssertionError, match="C -> C s_1 does not move the longest element"
     ):

@@ -29,7 +29,9 @@ def ctx():
 
 
 def coset_by_longest_word(group, tc, word):
-    return next(c.id for c in tc.cosets if group.elements[c.longest].word == word)
+    return next(
+        c for c, top in enumerate(tc.longest) if group.elements[top].word == word
+    )
 
 
 def test_t_alpha_raise_case(ctx):
@@ -80,9 +82,7 @@ def test_t_alpha_model_cases(ctx):
     assert not t_alpha_model(model1, a_plus_b, delta(tag, 0))
     # Raise towards the coset topped by s_{a+b} s_g
     out = t_alpha_model(model1, gamma, delta(tag, 0))
-    target = next(
-        f.id for f in model1.cosets if group.elements[f.longest].word == (0, 1, 0, 2)
-    )
+    target = coset_by_longest_word(group, model1.quotient, (0, 1, 0, 2))
     assert out == HeckeElt(tag, {0: Q, target: LaurentPoly.one()})
     # single-coset model: every operator kills delta
     model2 = models[1]
@@ -115,14 +115,10 @@ def test_right_mult_examples(ctx):
 def test_restrict_lambda_examples(ctx):
     group, tc, idata, models = ctx
     tag = global_tag(tc)
-    cw0 = next(c.id for c in tc.cosets if c.longest == group.longest_id)
+    cw0 = tc.longest.index(group.longest_id)
     pieces = restrict_lambda(tc, idata, models, delta(tag, cw0))
     # lands on the s_{a+b+g} coset of the u=1 model, zero elsewhere
-    top = next(
-        f.id
-        for f in models[0].cosets
-        if group.elements[f.longest].word == (0, 1, 2, 1, 0)
-    )
+    top = coset_by_longest_word(group, models[0].quotient, (0, 1, 2, 1, 0))
     assert pieces[0] == delta(model_tag(models[0]), top)
     assert not pieces[1]
     # the single-coset double coset

@@ -124,7 +124,7 @@ def test_classical_values_a2():
     # all classical P are 1 in S3, so P_{wv} = q^{l(w)-l(v)}
     g = get_group("A", 2)
     table = build_kl_table(g, (), Weight.minus_rho(2))
-    elt_of = {c.id: c.member_ids[0] for c in table.tc.cosets}
+    elt_of = {c: members[0] for c, members in enumerate(table.tc.members)}
     for (c, d), poly in table.polys.items():
         gap = g.length(elt_of[c]) - g.length(elt_of[d])
         assert poly == LaurentPoly.monomial(gap)

@@ -245,13 +245,13 @@ def test_coset_and_model_rows_are_the_dicts_they_replace(case):
     assert type(data["cosets"]) is _Rows
     assert list(data["cosets"]) == [
         {
-            "id": r.id,
-            "longest": _entry(group, r.longest),
-            "shortest": _entry(group, r.shortest),
-            "length": group.length(r.longest),
-            "below": tc.below(r.id),
+            "id": c,
+            "longest": _entry(group, tc.longest[c]),
+            "shortest": _entry(group, tc.shortest[c]),
+            "length": group.length(tc.longest[c]),
+            "below": tc.below(c),
         }
-        for r in tc.cosets
+        for c in range(tc.n_cosets)
     ]
     assert len(data["models"]) == len(table.models)
     for entry, model in zip(data["models"], table.models):
@@ -259,17 +259,17 @@ def test_coset_and_model_rows_are_the_dicts_they_replace(case):
         assert type(entry["cosets"]) is _Rows
         assert entry["cosets"] == [
             {
-                "id": f.id,
-                "longest": _entry(group, f.longest),
-                "length_lambda": model.length(f.id),
-                "global": model.ind[f.id],
+                "id": f,
+                "longest": _entry(group, model.quotient.longest[f]),
+                "length_lambda": model.length(f),
+                "global": model.ind[f],
             }
-            for f in model.cosets
+            for f in range(model.n_cosets)
         ]
     # one entry per element, shared by every row that names it
     longest = [row["longest"] for row in data["cosets"]]
     assert all(type(e) is _Shared for e in longest)
-    assert len({id(e) for e in longest}) == len({r.longest for r in tc.cosets})
+    assert len({id(e) for e in longest}) == len(set(tc.longest))
 
 
 @pytest.mark.parametrize("command", sorted(BELOW_COMMANDS))

@@ -87,7 +87,7 @@ def test_verma_inverse_is_kl_inversion(letter, rank):
     cf = regular_formula(table)
     inverse = invert_multiplicities(cf)
     tc = table.tc
-    sigma = [tc.coset_of[g.mult(g.longest_id, c.longest)] for c in tc.cosets]
+    sigma = [tc.coset_of[g.mult(g.longest_id, top)] for top in tc.longest]
     n = tc.n_cosets
     assert cf.labels == tuple(range(n))
     for c in range(n):
