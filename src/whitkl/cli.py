@@ -433,7 +433,8 @@ def run_verify(job):
     scope = f"{job.rs.type_letter}{job.rs.rank}"
     # at every rank, before the Theta-empty order below is built
     if job.lam is not None:
-        report.checks.extend(recompute_subgroups(group, job.lam).checks)
+        subgroups = recompute_subgroups(group, job.lam)
+        report.checks.extend(subgroups.checks)
     # the pipeline's Bruhat order (Theta-empty cosets) against the subword oracle
     if group.size <= 48:
         pairs = [(v, w) for v in range(group.size) for w in range(group.size)]
@@ -460,17 +461,13 @@ def run_verify(job):
             break
     report.add("bruhat-vs-subword", f"{scope} {kind}", ok, witness)
     # definition-level coset recomputation
+    table = None
     if job.lam is not None and job.rs.rank <= 3:
         table = build_kl_table(group, job.theta, job.lam)
-        tc = table.tc
         sub = recompute_cosets(
-            group, job.theta, job.lam, tc, table.idata, table.models
+            group, job.theta, job.lam, table.tc, table.idata, table.models
         )
         report.checks.extend(sub.checks)
-        # the two phi paths must agree
-        pd = phi_direct(tc, job.lam)
-        ok = all(pd[c] == table.phi[c] for c in range(tc.n_cosets))
-        report.add("phi-direct-vs-transport", scope, ok)
     else:
         report.add(
             "coset-recomputation",
@@ -478,6 +475,20 @@ def run_verify(job):
             True,
             "skipped: exhaustive scope is rank <= 3 with a lambda",
         )
+    # the two phi paths must agree, up to |W| = 1920 (every rank <= 4, A5
+    # and D5); Path A would stop at its own count of a W_lambda refuted above
+    if job.lam is not None:
+        ok, note = True, None
+        if group.size > 1920:
+            note = f"skipped: |W| = {group.size} > 1920"
+        elif not subgroups.passed:
+            note = "skipped: W_lambda or W^lambda failed its check"
+        else:
+            if table is None:
+                table = build_kl_table(group, job.theta, job.lam)
+            pd = phi_direct(table.tc, job.lam)
+            ok = all(pd[c] == table.phi[c] for c in range(table.tc.n_cosets))
+        report.add("phi-direct-vs-transport", scope, ok, note)
     # classical Kazhdan-Lusztig relation at -rho
     if group.size <= 1152:
         ok = kl_classical_relation_check(group, Weight.minus_rho(job.rs.rank))

@@ -9,8 +9,9 @@ Two independent paths compute the basis phi on the global coset module:
   distinct values: 1 691 among the 396 809 of F4 with Theta empty at
   -rho), and serves phi and the polynomial table as views over psi.
 * Path B (cross-check): recurse directly on global cosets, using the
-  T-operator for integral simple descents and label relabeling plus a
-  weight move for non-integral ones.
+  T-operator for integral simple descents and label relabeling for
+  non-integral ones.  It reads lam only through its integral roots, and
+  moves that root set, never a weight, across a non-integral wall.
 
 Path A's recursion runs on packed ints.  Every polynomial it meets lies
 in Z[q]: the basis coefficients off the diagonal are in qZ[q], and only
@@ -503,10 +504,13 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     at the weight s_beta(weight), by relabelling; otherwise an integral
     descent alpha gives T_alpha of the shorter element, which
     `_subtract_mu` turns into a basis element by walking its support.
-    Weights are interned: each distinct weight gets a small int id on
-    first sight, with its non-integral and integral simple roots, and each
-    weight move (id, beta) -> id is computed once.  The memo is keyed on
-    (weight id, coset).
+    The recursion reads a weight mu only through its integral roots
+    Sigma_mu = {r : <r^vee, mu> in Z}: simple root i is integral iff it is
+    in Sigma_mu, and Sigma_{s_beta mu} = s_beta(Sigma_mu).  So it runs on
+    integral-root classes, each a bitmask over `rs.roots` with a small int
+    id: lam's takes one pass of `pair` over the roots, and each move
+    (id, beta) -> id permutes bits by `rs.simple_reflections[beta]` once.
+    The memo is keyed on (class id, coset).
 
     The recursion runs on rows, coset -> coefficient tuple (see
     `_tuple_add`).  The descent scan, the T-step and the relabelling read
@@ -515,42 +519,38 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     Finished coefficients are interned by tuple, and each
     distinct one met in the result is decoded once to a `LaurentPoly`.
     """
-    group = tc.group
-    rs = group.rs
+    rs = tc.group.rs
     n = tc.n_cosets
     tag = global_tag(tc)
     lengths = tc.lengths
     length = lengths.__getitem__
     targets = {s: tc.targets(s) for s in range(rs.rank)}
-    ids: dict[Weight, int] = {}
-    weights: list[Weight] = []
-    simples: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    ids: dict[int, int] = {}
+    # class id -> (integral roots, non-integral simples, integral simples)
+    classes: list[tuple[int, list[int], list[int]]] = []
     moves: dict[tuple[int, int], int] = {}
     memo: dict[tuple[int, int], dict[int, tuple]] = {}
     canon: dict[tuple, tuple] = {}
     one = (1,)
 
-    def intern(weight: Weight) -> int:
-        wid = ids.get(weight)
-        if wid is None:
-            wid = ids[weight] = len(weights)
-            weights.append(weight)
-            integral = [is_integer(pair(rs, i, weight)) for i in range(rs.rank)]
-            simples.append(
-                (
-                    tuple(i for i in range(rs.rank) if not integral[i]),
-                    tuple(i for i in range(rs.rank) if integral[i]),
-                )
-            )
-        return wid
+    def intern(roots: int) -> int:
+        k = ids.get(roots)
+        if k is None:
+            k = ids[roots] = len(classes)
+            split = ([], [])  # non-integral, integral simple roots
+            for i in range(rs.rank):
+                split[roots >> i & 1].append(i)
+            classes.append((roots, *split))
+        return k
 
-    def move(wid: int, beta: int) -> int:
-        key = (wid, beta)
-        moved = moves.get(key)
+    def move(k: int, beta: int) -> int:
+        moved = moves.get((k, beta))
         if moved is None:
-            moved = moves[key] = intern(
-                group.act_on_weight(group.simple_ids[beta], weights[wid])
-            )
+            # r is integral at s_beta mu iff s_beta r is integral at mu
+            roots = classes[k][0]
+            image = rs.simple_reflections[beta]
+            moved = intern(sum((roots >> s & 1) << r for r, s in enumerate(image)))
+            moves[k, beta] = moved
         return moved
 
     def relabel(x: dict, beta: int) -> dict:
@@ -576,29 +576,29 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             out[target] = p if prev is None else _tuple_add(prev, p)
         return out
 
-    def compute(wid: int, c: int) -> dict:
-        key = (wid, c)
+    def compute(k: int, c: int) -> dict:
+        key = (k, c)
         cached = memo.get(key)
         if cached is not None:
             return cached
         if c == 0:
             result = memo[key] = {0: one}
             return result
-        nonintegral, integral = simples[wid]
+        _, nonintegral, integral = classes[k]
         result = None
         for beta in nonintegral:
             target = targets[beta][c]
             if lengths[target] < lengths[c]:
-                result = relabel(compute(move(wid, beta), target), beta)
+                result = relabel(compute(move(k, beta), target), beta)
                 break
         if result is None:
             for alpha in integral:
                 target = targets[alpha][c]
                 if lengths[target] < lengths[c]:
                     xi = _subtract_mu(
-                        t_step(compute(wid, target), alpha),
+                        t_step(compute(k, target), alpha),
                         lengths[c],
-                        lambda d: compute(wid, d),
+                        lambda d: compute(k, d),
                         length,
                         _tuple_constant,
                         _tuple_submul,
@@ -611,7 +611,7 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
         memo[key] = result
         return result
 
-    start = intern(lam)
+    start = intern(sum(is_integer(pair(rs, r, lam)) << r for r in range(rs.n_roots)))
     basis = [compute(start, c) for c in range(n)]
     memo.clear()
     store: dict[tuple, LaurentPoly] = {}

@@ -344,7 +344,9 @@ def test_wrong_integral_weyl_group_is_an_internal_error(
 
 
 SUBGROUP_CHECKS = ("w-lambda-vs-lattice", "stabilizer-vs-zero-roots")
-# rank 5 and |W| > 1152: verify builds no KL table, which the fault would stop
+# rank 5: verify skips the coset recomputation, and skips Path A = Path B
+# once W_lambda fails its check, so under the fault it builds no KL table,
+# which the fault would stop
 D5_VERIFY_ARGS = ["--type", "D5", "--lambda=0,-1+1*t1,-1/2,-1-1*t1,-1", "verify"]
 
 
@@ -363,6 +365,30 @@ def test_verify_fails_each_subgroup_check_under_a_wrong_subgroup(
     assert err == ""
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == list(SUBGROUP_CHECKS)
+
+
+def test_verify_runs_phi_direct_vs_transport_up_to_1920_elements(capsys):
+    code, out, err = run_cli(capsys, *D5_VERIFY_ARGS)
+    assert code == 0, out
+    assert "pass  phi-direct-vs-transport  (D5)\n" in out
+    code, out, err = run_cli(
+        capsys, "--type", "E6", "--lambda=-1,-1,-1,-1,-1,-1", "verify"
+    )
+    assert code == 0, out
+    assert (
+        "pass  phi-direct-vs-transport  (E6)  [skipped: |W| = 51840 > 1920]\n"
+    ) in out
+
+
+def test_verify_skips_phi_direct_vs_transport_on_a_refuted_w_lambda(
+    capsys, wrong_reflection_subgroup
+):
+    code, out, err = run_cli(capsys, *D5_VERIFY_ARGS)
+    assert code == 2
+    assert (
+        "pass  phi-direct-vs-transport  (D5)  "
+        "[skipped: W_lambda or W^lambda failed its check]\n"
+    ) in out
 
 
 def test_verify_json_format(capsys):

@@ -176,15 +176,61 @@ def test_mixed_weight_b2_paths_agree():
         check_structural_invariants(table)
 
 
+# the benchmark's D5 base weight: Path B moves through 80 integral-root
+# classes, met as 160 weights
+D5_NONINTEGRAL = Weight.from_values(
+    [0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1], n_transcendentals=1
+)
+
+
 def test_phi_direct_equals_transport_d5_nonintegral():
-    # the benchmark's base weight: Path B moves through many weights
     g = get_group("D", 5)
-    lam = Weight.from_values(
-        [0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1], n_transcendentals=1
-    )
-    table = build_kl_table(g, (), lam)
+    table = build_kl_table(g, (), D5_NONINTEGRAL)
     assert table.tc.n_cosets == 1920
+    assert phi_direct(table.tc, D5_NONINTEGRAL) == table.phi
+
+
+MINUS_HALF = Fraction(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "letter,values",
+    [
+        ("B", [MINUS_HALF, (-1, (1,)), MINUS_HALF, (-1, (-1,))]),
+        ("F", [MINUS_HALF, (-1, (1,)), -1, MINUS_HALF]),
+    ],
+)
+def test_phi_direct_equals_transport_rank_4_nonintegral(letter, values):
+    # Theta empty: Path B crosses many non-integral walls
+    lam = Weight.from_values(values, n_transcendentals=1)
+    table = build_kl_table(get_group(letter, 4), (), lam)
     assert phi_direct(table.tc, lam) == table.phi
+
+
+def test_phi_direct_pairs_lambda_once_and_moves_no_weight(monkeypatch):
+    # Path B reads lambda through one pass of pair over the roots, then
+    # moves only integral-root sets, never a weight
+    from whitkl import klengine
+    from whitkl.weylgroup import WeylGroup
+
+    g = get_group("D", 5)
+    table = build_kl_table(g, (), D5_NONINTEGRAL)
+    calls = {"pair": 0, "act_on_weight": 0}
+    real_pair, real_act = klengine.pair, WeylGroup.act_on_weight
+
+    def counted_pair(*args):
+        calls["pair"] += 1
+        return real_pair(*args)
+
+    def counted_act(self, *args):
+        calls["act_on_weight"] += 1
+        return real_act(self, *args)
+
+    monkeypatch.setattr(klengine, "pair", counted_pair)
+    monkeypatch.setattr(WeylGroup, "act_on_weight", counted_act)
+    assert phi_direct(table.tc, D5_NONINTEGRAL) == table.phi
+    assert calls["act_on_weight"] == 0
+    assert 0 < calls["pair"] <= len(g.rs.roots)
 
 
 def _laurent_constant(poly):

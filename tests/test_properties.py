@@ -22,6 +22,7 @@ from whitkl.klengine import (  # noqa: E402
     build_models,
 )
 from whitkl.oracle import _encode, recompute_subgroups, weight_orbit  # noqa: E402
+from whitkl.rootsystem import is_integer, pair  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 from test_cosetlab import _ideals_by_union  # noqa: E402
@@ -75,6 +76,26 @@ def test_path_b_agrees_with_path_a(case, data):
     theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
     table = build_kl_table(get_group(letter, rank), theta, lam)
     assert phi_direct(table.tc, lam) == table.phi
+
+
+def _integral_roots(rs, lam):
+    return {r for r in range(rs.n_roots) if is_integer(pair(rs, r, lam))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_weight())
+def test_integral_roots_move_with_the_weight(case):
+    # Path B runs on integral-root sets because of this identity:
+    # Sigma_{s_beta lam} = s_beta(Sigma_lam), checked by the definition
+    letter, rank, lam = case
+    g = get_group(letter, rank)
+    rs = g.rs
+    sigma = _integral_roots(rs, lam)
+    for beta in range(rank):
+        moved = g.act_on_weight(g.simple_ids[beta], lam)
+        assert _integral_roots(rs, moved) == {
+            rs.simple_reflections[beta][r] for r in sigma
+        }
 
 
 @settings(max_examples=40, deadline=None)
