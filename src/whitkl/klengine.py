@@ -36,18 +36,16 @@ At an integral descent both paths apply one T-operator to a shorter
 basis element, getting xi, then subtract mu * basis(D) for every shorter
 D whose coefficient in xi has a nonzero constant term mu, longest D
 first.  `_subtract_mu` does this for both paths, given each ring's
-constant term and "subtract mu * b".  It walks only xi's support,
-longest first and by id among equal lengths, with a heap that gains the
-cosets each subtraction brings into the support (du Cloux, "Computing
-Kazhdan-Lusztig polynomials for arbitrary Coxeter groups", Experiment.
-Math. 11, 2002).  A coset outside the support has no constant term, so
-the walk makes exactly the subtractions, in exactly the order, of a scan
-over every shorter coset.  `_assert_kl_shape` checks both paths'
-results.  Each path applies T in its own ring, reading every coset move
-C -> C s and the lengths from the one table `ThetaCosets` builds and
-checks (`targets`, `lengths`); Path B's relabelling and descent scan read
-the same table.  Both keep each row as a plain dict, coset -> packed int
-or tuple, and wrap only finished rows in `HeckeElt`s: psi's and
+constant term and "subtract mu * b".  Every row is KL-shaped, 1 at its
+coset and in qZ[q] elsewhere (Kazhdan-Lusztig, Invent. Math. 53, 1979;
+Deodhar, J. Algebra 111, 1987), as `_assert_kl_shape` checks before a
+row is stored.  So a subtraction changes no other coset's constant term,
+and every mu is read off xi in one pass, before the first subtraction.
+Each path applies T in its own ring, reading every coset move C -> C s
+and the lengths from the one table `ThetaCosets` builds and checks
+(`targets`, `lengths`); Path B's relabelling and descent scan read the
+same table.  Both keep each row as a plain dict, coset -> packed int or
+tuple, and wrap only finished rows in `HeckeElt`s: psi's and
 `phi_direct`'s values.
 
 The two must agree everywhere; disagreement is the strongest available
@@ -56,8 +54,8 @@ bug detector and is surfaced, never patched.
 
 from __future__ import annotations
 
-import heapq
-from operator import add, sub
+from itertools import compress
+from operator import add, itemgetter, sub
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
@@ -313,6 +311,8 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
     mask = (1 << bits) - 1
     cap = _digit_cap()
     lengths = quotient.lengths
+    length = lengths.__getitem__
+    low = mask.__and__  # nonzero iff the balanced constant term is
 
     def constant(p: int) -> int:
         mu = p & mask
@@ -347,7 +347,7 @@ def _kl_basis(model: IntegralModel, store: dict) -> dict[int, HeckeElt]:
                 out[cid] = out.get(cid, 0) + shifted
                 out[target] = out.get(target, 0) + p
             xi = _subtract_mu(
-                out, lengths[f], rows.__getitem__, lengths.__getitem__, constant, _submul
+                out, lengths[f], rows.__getitem__, length, low, constant, _submul
             )
             _assert_kl_shape(xi, f, quotient.ideal(f), 1, in_qzq)
         rows[f] = {g: canon.setdefault(p, p) for g, p in xi.items()}
@@ -370,48 +370,44 @@ def _subtract_mu(
     top_length: int,
     basis,
     length,
+    low,
     constant,
     submul,
 ) -> dict:
     """The row xi (coset -> coefficient) with its constant terms below
     top_length cleared.
 
-    For each D in xi's support with length(D) < top_length, longest first
-    and by id among equal lengths, whose coefficient has a nonzero
-    constant term mu, subtract mu * basis(D), the row of D.  basis(D)
-    lives on the lower interval of D, so each subtraction only brings in
-    cosets that come later in the walk; they are pushed as they appear.
+    For each D in xi's support with length(D) < top_length whose
+    coefficient has a nonzero constant term mu, longest first and by id
+    among equal lengths, subtract mu * basis(D), the row of D.  The rows
+    must be KL-shaped (see the module docstring), so the D and their mu
+    are read off xi in one pass: low(p), a C-level map, is nonzero iff
+    p's constant term is, and the ring's checked constant(p) runs only
+    where it is.  On rows not KL-shaped the result can keep an
+    off-diagonal constant term, which `_assert_kl_shape` rejects.
 
-    The walk works on a copy of xi without its zero coefficients, in any
-    ring, given its constant-term function and its submul(a, b, mu) =
-    a - mu * b, where a = 0 stands for an absent coefficient: Path A's
-    packed ints or Path B's coefficient tuples.
+    The walk runs in any ring, given its submul(a, b, mu) = a - mu * b,
+    where a = 0 stands for an absent coefficient: Path A's packed ints or
+    Path B's coefficient tuples.  It drops xi's zero coefficients, and
+    works on xi itself, which the caller gives up, when it has none.
     """
-    coeffs = {d: p for d, p in xi.items() if p}
-    # D of length ell is keyed D - ell * 2**32, so the heap pops the longest
-    # first and the smallest id among equal lengths: coset ids are below
-    # the group-size cap, far below 2**32
-    heap = [d - (ell << 32) for d in coeffs if (ell := length(d)) < top_length]
-    heapq.heapify(heap)
-    queued = set(coeffs)
-    while heap:
-        d = heapq.heappop(heap) & 0xFFFFFFFF
-        poly = coeffs.get(d)
-        if poly is None:
-            continue
-        mu = constant(poly)
-        if not mu:
-            continue
+    coeffs = xi if all(xi.values()) else {d: p for d, p in xi.items() if p}
+    # D of length ell is keyed D - ell * 2**32, so the sort puts the
+    # longest first and the smallest id among equal lengths: coset ids are
+    # below the group-size cap, far below 2**32
+    keys = sorted(
+        d - (ell << 32)
+        for d in compress(coeffs, map(low, coeffs.values()))
+        if (ell := length(d)) < top_length
+    )
+    mus = [(d, constant(coeffs[d])) for d in (key & 0xFFFFFFFF for key in keys)]
+    for d, mu in mus:
         for e, poly in basis(d).items():
             value = submul(coeffs.get(e, 0), poly, mu)
             if value:
                 coeffs[e] = value
             else:
                 del coeffs[e]
-            if e not in queued:
-                queued.add(e)
-                if (ell := length(e)) < top_length:
-                    heapq.heappush(heap, e - (ell << 32))
     return coeffs
 
 
@@ -485,8 +481,8 @@ def _tuple_over_q(p: tuple) -> tuple:
     return p[1:]
 
 
-def _tuple_constant(p: tuple) -> int:
-    return p[0]
+# the constant term of a nonzero tuple, a C-level call
+_tuple_constant = itemgetter(0)
 
 
 def _tuple_in_qzq(p: tuple) -> bool:
@@ -600,6 +596,7 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
                         lengths[c],
                         lambda d: compute(k, d),
                         length,
+                        _tuple_constant,
                         _tuple_constant,
                         _tuple_submul,
                     )

@@ -114,6 +114,8 @@ class LaurentPoly:
         return _trusted({e + k: c for e, c in self._terms.items()})
 
     def __eq__(self, other):
+        if type(other) is LaurentPoly:
+            return self._terms == other._terms
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -15,6 +15,10 @@ from whitkl import (
 )
 from whitkl.heckemodule import HeckeElt, model_tag
 from whitkl.klengine import (
+    _DIGIT_BITS,
+    _assert_kl_shape,
+    _decode,
+    _digit_cap,
     _submul,
     _subtract_mu,
     _tuple_constant,
@@ -24,6 +28,7 @@ from whitkl.klengine import (
 from whitkl.oracle import (
     CosetStep,
     _double_coset_rep,
+    _encode,
     delta,
     descent_chain,
     kl_classical_relation_check,
@@ -237,86 +242,164 @@ def _laurent_constant(poly):
     return poly.coeff(0)
 
 
+def _tuple_encode(poly):
+    return tuple(poly.coeff(e) for e in range(poly.max_exp() + 1)) if poly else ()
+
+
+def _packed_decode(p):
+    return _decode(p, _digit_cap())
+
+
+# each ring _subtract_mu runs on: (encode, decode, low, constant, submul),
+# encode and decode to and from `LaurentPoly`s in Z[q]
+RINGS = {
+    "laurent": (
+        lambda poly: poly,
+        lambda poly: poly,
+        _laurent_constant,
+        _laurent_constant,
+        _submul,
+    ),
+    "tuple": (
+        _tuple_encode,
+        _tuple_decode,
+        _tuple_constant,
+        _tuple_constant,
+        _tuple_submul,
+    ),
+    "packed": (
+        _encode,
+        _packed_decode,
+        ((1 << _DIGIT_BITS) - 1).__and__,
+        lambda p: _packed_decode(p).coeff(0),
+        _submul,
+    ),
+}
+
+
+def _walk(ring, xi, top_length, basis, lengths):
+    """_subtract_mu on rows of `LaurentPoly`s, run in the ring named."""
+    encode, decode, low, constant, submul = RINGS[ring]
+    rows = {d: {e: encode(poly) for e, poly in row.items()} for d, row in basis.items()}
+    got = _subtract_mu(
+        {d: encode(poly) for d, poly in xi.items()},
+        top_length,
+        rows.__getitem__,
+        lengths.__getitem__,
+        low,
+        constant,
+        submul,
+    )
+    return {d: decode(p) for d, p in got.items()}
+
+
 def _subtract_mu_full_scan(xi, top_length, basis, lengths):
-    """Reference: visit every shorter coset, longest first."""
+    """Reference: visit every shorter coset, longest first, reading each
+    mu as it is reached; rows are dicts of `LaurentPoly`s."""
+    elt = HeckeElt("t", xi)
     for d in sorted(
         (d for d in lengths if lengths[d] < top_length),
         key=lambda d: (-lengths[d], d),
     ):
-        mu = xi.coeff(d).coeff(0)
+        mu = elt.coeff(d).coeff(0)
         if mu:
-            xi = xi - basis[d].scale(mu)
-    return xi
+            elt = elt - HeckeElt("t", basis[d]).scale(mu)
+    return elt.coeffs
 
 
-def test_subtract_mu_clears_support_it_brings_in():
-    # basis[2] and basis[3] carry off-diagonal constants (not KL-shaped),
-    # so subtracting 2 * basis[3] brings coset 2 into the support with a
-    # constant term that must be cleared in turn
-    qinv = LaurentPoly.monomial(-1)
-    lengths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
+# a small length-graded order on cosets 0..6, with 5 as the top
+LENGTHS = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
 
-    def elt(coeffs):
-        return HeckeElt("t", coeffs)
 
+def _kl_shaped_case():
+    """xi and KL-shaped rows: 2 * basis[3] brings cosets 2 and 1 into the
+    support, and basis[4] then meets coset 1 again."""
     basis = {
-        0: elt({0: ONE}),
-        1: elt({1: ONE, 0: Q}),
-        2: elt({2: ONE, 0: ONE * 2}),
-        3: elt({3: ONE, 2: ONE, 1: Q, 0: Q}),
-        4: elt({4: ONE, 1: Q}),
-        6: elt({6: ONE, 0: ONE}),
+        0: {0: ONE},
+        1: {1: ONE, 0: Q},
+        2: {2: ONE, 0: Q * Q},
+        3: {3: ONE, 2: Q, 1: Q, 0: Q},
+        4: {4: ONE, 1: Q * Q},
     }
-    xi = elt({5: ONE, 3: ONE * 2 + Q, 4: qinv, 0: ONE * 3, 6: ONE * 5})
+    xi = {5: ONE, 3: ONE * 2 + Q, 4: ONE + Q, 0: ONE * 3, 6: ONE * 5}
+    return xi, basis
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_subtract_mu_on_kl_shaped_rows_equals_a_full_scan(ring):
+    xi, basis = _kl_shaped_case()
+    got = _walk(ring, xi, LENGTHS[5], basis, LENGTHS)
+    # coset 6 is as long as the top, so its constant term stays; the
+    # subtractions run 3, 4, 0, so 2 comes into the row before 1
+    assert list(got.items()) == [
+        (5, ONE), (3, Q), (4, Q), (0, Q * -2), (6, ONE * 5),
+        (2, Q * -2), (1, Q * -2 - Q * Q),
+    ]
+    reference = _subtract_mu_full_scan(xi, LENGTHS[5], basis, LENGTHS)
+    assert list(got.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize(
+    "bad_rows",
+    [
+        # 2 * basis[3] brings coset 2 in with the constant term -2
+        {2: {2: ONE, 0: ONE * 2}, 3: {3: ONE, 2: ONE, 1: Q, 0: Q}},
+        # 2 * basis[3] moves coset 0's constant term from 3 to 1 before
+        # coset 0's turn, whose mu was read as 3
+        {3: {3: ONE, 1: Q, 0: ONE}},
+    ],
+    ids=["brings-in-a-constant", "moves-a-later-mu"],
+)
+def test_subtract_mu_on_rows_not_kl_shaped_fails_the_shape_check(ring, bad_rows):
+    xi, basis = _kl_shaped_case()
+    del xi[6]  # as long as the top, it would keep its constant term
+
+    def check(row):
+        _assert_kl_shape(row, 5, (1 << len(LENGTHS)) - 1, ONE, LaurentPoly.in_qZq)
+
+    check(_walk(ring, xi, LENGTHS[5], basis, LENGTHS))
+    basis.update(bad_rows)
+    got = _walk(ring, xi, LENGTHS[5], basis, LENGTHS)
+    with pytest.raises(AssertionError, match="not in qZ"):
+        check(got)
+
+
+@pytest.mark.parametrize("ring", ["tuple", "packed"])
+def test_subtract_mu_reads_only_the_rows_it_subtracts(ring):
+    # xi has 300 cosets below the top, 4 of them with a nonzero constant term
+    n, hits = 300, (17, 101, 102, 250)
+    lengths = {d: d // 10 for d in range(n)}
+    lengths[n] = n // 10
+    basis = {d: {d: ONE, 0: Q} if d else {0: ONE} for d in range(n)}
+    xi = {d: ONE * 7 + Q if d in hits else Q for d in range(n)}
+    xi[n] = ONE
+    encode, decode, low, constant, submul = RINGS[ring]
+    rows = {d: {e: encode(poly) for e, poly in row.items()} for d, row in basis.items()}
+    calls = {"basis": 0, "constant": 0}
+
+    def counted_basis(d):
+        calls["basis"] += 1
+        return rows[d]
+
+    def counted_constant(p):
+        calls["constant"] += 1
+        return constant(p)
+
     got = _subtract_mu(
-        xi.coeffs,
-        lengths[5],
-        lambda d: basis[d].coeffs,
+        {d: encode(poly) for d, poly in xi.items()},
+        lengths[n],
+        counted_basis,
         lengths.__getitem__,
-        _laurent_constant,
-        _submul,
+        low,
+        counted_constant,
+        submul,
     )
-    # coset 6 is as long as the top, so its constant term stays
-    assert got == {5: ONE, 3: Q, 4: qinv, 0: Q * -2, 6: ONE * 5, 1: Q * -2}
-    reference = _subtract_mu_full_scan(xi, lengths[5], basis, lengths)
-    assert list(got.items()) == list(reference.coeffs.items())
-
-
-def test_subtract_mu_on_path_b_tuples():
-    # the Z[q] part of the data above (coset 4's q^-1 dropped), as Path B's
-    # coefficient tuples of q^0, q^1, ...
-    lengths = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3}
-    basis = {
-        0: {0: (1,)},
-        1: {1: (1,), 0: (0, 1)},
-        2: {2: (1,), 0: (2,)},
-        3: {3: (1,), 2: (1,), 1: (0, 1), 0: (0, 1)},
-        4: {4: (1,), 1: (0, 1)},
-        6: {6: (1,), 0: (1,)},
-    }
-    xi = {5: (1,), 3: (2, 1), 0: (3,), 6: (5,)}
-    got = _subtract_mu(
-        xi,
-        lengths[5],
-        basis.__getitem__,
-        lengths.__getitem__,
-        _tuple_constant,
-        _tuple_submul,
-    )
-    assert got == {5: (1,), 3: (0, 1), 0: (0, -2), 6: (5,), 1: (0, -2)}
-
-    def decoded(row):
-        return {c: _tuple_decode(p) for c, p in row.items()}
-
-    on_laurent = _subtract_mu(
-        decoded(xi),
-        lengths[5],
-        lambda d: decoded(basis[d]),
-        lengths.__getitem__,
-        _laurent_constant,
-        _submul,
-    )
-    assert list(decoded(got).items()) == list(on_laurent.items())
+    assert calls["basis"] == len(hits)
+    assert calls["constant"] <= len(hits)
+    reference = _subtract_mu_full_scan(xi, lengths[n], basis, lengths)
+    assert list(got) == list(reference)
+    assert {d: decode(p) for d, p in got.items()} == reference
 
 
 def test_phi_direct_holds_one_object_per_distinct_polynomial():

@@ -55,6 +55,17 @@ def test_canonical_no_zero_terms():
     assert (Q - Q) == LaurentPoly.zero()
 
 
+def test_equality_with_polys_ints_and_foreign_types():
+    assert Q + ONE == LaurentPoly({0: 1, 1: 1})
+    assert Q != ONE and Q != QINV
+    # an int is the constant polynomial
+    assert ONE * 3 == 3 and 3 == ONE * 3
+    assert LaurentPoly.zero() == 0 and ONE != 0 and Q != 1
+    # a foreign type compares unequal, and never as an int
+    assert ONE != "1" and ONE != Fraction(1) and ONE != 1.0
+    assert ONE.__eq__("1") is NotImplemented
+
+
 def test_text_form():
     assert LaurentPoly({2: 1, 1: 3, 0: -1}).text() == "q^2 + 3*q - 1"
     assert LaurentPoly({-1: 1}).text() == "q^-1"

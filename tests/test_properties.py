@@ -26,6 +26,7 @@ from whitkl.rootsystem import is_integer, pair  # noqa: E402
 
 from conftest import get_group  # noqa: E402
 from test_cosetlab import _ideals_by_union  # noqa: E402
+from test_klengine import RINGS, _subtract_mu_full_scan, _walk  # noqa: E402
 
 RANK_AT_MOST_3 = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -157,6 +158,43 @@ def test_path_b_tuple_arithmetic_is_laurent_arithmetic(raw_a, raw_b, mu):
     else:
         got = _tuple_over_q(a)
         assert _is_trimmed(got) and _tuple_decode(got) == pa.shift(-1)
+
+
+@st.composite
+def kl_shaped_walks(draw):
+    """(xi, top length, basis, lengths) on up to 8 cosets graded by length,
+    ids ascending by length: each basis row is 1 at its coset and in qZ[q]
+    at some shorter ones; xi has any coefficients in Z[q], zeros included,
+    in random order."""
+    n = draw(st.integers(1, 8))
+    lengths = {0: 0}
+    for d in range(1, n):
+        lengths[d] = lengths[d - 1] + draw(st.integers(0, 1))
+
+    def poly(low):
+        coeffs = draw(st.lists(st.integers(-3, 3), max_size=3))
+        return LaurentPoly({low + e: c for e, c in enumerate(coeffs)})
+
+    basis = {}
+    for d in range(n):
+        row = {d: LaurentPoly.one()}
+        for e in range(d):
+            if lengths[e] < lengths[d] and draw(st.booleans()):
+                row[e] = poly(1)
+        basis[d] = {e: p for e, p in row.items() if p}
+    top_length = draw(st.integers(0, lengths[n - 1] + 1))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True))
+    xi = {d: poly(0) for d in support}
+    return xi, top_length, basis, lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(kl_shaped_walks(), st.sampled_from(sorted(RINGS)))
+def test_one_pass_mu_walk_is_a_full_scan(case, ring):
+    xi, top_length, basis, lengths = case
+    got = _walk(ring, xi, top_length, basis, lengths)
+    reference = _subtract_mu_full_scan(xi, top_length, basis, lengths)
+    assert list(got.items()) == list(reference.items())
 
 
 @st.composite
