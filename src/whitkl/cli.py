@@ -7,10 +7,10 @@ inputs: orderings are fixed everywhere and no randomness is involved.
 Output is streamed: the document is written to stdout in bounded chunks
 as it is rendered, never held whole.  Its long lists are not held either:
 the KL polynomials, the cosets, each model's cosets, and the entries of
-each character and multiplicity row, are row sequences (``_Rows``) that
-read the table, the cosets, the formula and the inverse as they are
-iterated, and yield the same dicts each time; each coset's ``below``
-list (``_Below``) is read off its ideal bitset.  Each element's entry
+each character and multiplicity row, are row sequences (``_Rows``) whose
+``rows()`` reads the table, the cosets, the formula or the inverse afresh
+as value tuples, which every renderer reads; each coset's ``below`` list
+(``_Below``) is read off its ideal bitset.  Each element's entry
 (``_Shared``) is made once per job and shared by every row naming it.
 The JSON writer writes such a sequence's rows as the pieces all rows
 share around their values' texts, each distinct value's text made once.
@@ -30,8 +30,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import partial
-from itertools import chain, compress, islice, repeat
+from functools import cache, partial
+from itertools import chain, compress, groupby, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter, lshift, xor
 
@@ -328,13 +328,14 @@ def run_klpolys(job):
     return data
 
 
-def _kl_rows(table):
-    """(C, D, text of P_CD) in the order of ``sorted(table.polys.items())``,
-    one coset's row at a time; each polynomial object's text is made once,
-    and the table keeps every object alive, so an id names one polynomial."""
+def _kl_rows(table, cosets=None):
+    """(C, D, text of P_CD) for the given cosets C in their order, or for every
+    coset in the order of ``sorted(table.polys.items())``, one coset's row at a
+    time; each polynomial object's text is made once, and the table keeps
+    every object alive, so an id names one polynomial."""
     texts: dict[int, str] = {}
     phi = table.phi
-    for c in range(table.tc.n_cosets):
+    for c in range(table.tc.n_cosets) if cosets is None else cosets:
         for d, poly in sorted(phi[c].coeffs.items()):
             text = texts.get(id(poly))
             if text is None:
@@ -513,14 +514,16 @@ _CHUNK_CHARS = 1 << 16
 
 
 class _Rows(list):
-    """A list of flat dicts with the keys ``fields``, made each time it is
-    iterated and never held: ``rows()`` gives a fresh iterator of value
-    tuples, one per dict, in the order of ``fields``.  ``render_json``
-    writes a batch of tuples of exact ints and strs without their dicts.
+    """A list of flat rows with the keys ``fields``, made as they are read
+    and never held: ``rows()`` gives a fresh iterator of value tuples in the
+    order of ``fields``, and is how every renderer reads them.
+    ``render_json`` writes a batch of tuples of exact ints and strs without
+    making their dicts; the text and LaTeX renderers unpack each tuple.
 
     The list itself stays empty; it is a list so that ``render_json`` and
-    ``json.dumps`` write it as one.  It is iterated, never indexed; it
-    compares as the list of its dicts.
+    ``json.dumps`` write it as one.  Iterating it yields each row as a dict,
+    for ``json.dumps`` and for comparison: it compares as the list of its
+    dicts.  It is never indexed.
     """
 
     __slots__ = ("fields", "rows", "length")
@@ -849,31 +852,24 @@ def parse_output(text: str) -> dict:
 
 def _text_cosets(lines, data):
     lines.append("cosets (id: longest | shortest | length):")
-    for c in data["cosets"]:
-        lines.append(
-            f"  {c['id']}: {c['longest']['name']} | "
-            f"{c['shortest']['name']} | {c['length']}"
-        )
+    for c, longest, shortest, length, _ in data["cosets"].rows():
+        lines.append(f"  {c}: {longest['name']} | {shortest['name']} | {length}")
     for m in data.get("models", []):
         lines.append(
             f"model u = {m['u']['name']}, Theta(u,lambda) = "
             f"{{{', '.join(m['theta_u_lambda'])}}}:"
         )
-        for f in m["cosets"]:
-            lines.append(
-                f"  {f['id']}: {f['longest']['name']} | "
-                f"ell_lambda {f['length_lambda']} | global {f['global']}"
-            )
+        for f, longest, length, c in m["cosets"].rows():
+            lines.append(f"  {f}: {longest['name']} | ell_lambda {length} | global {c}")
 
 
 def _signed_sum(entries, term) -> str:
-    """The character row "a - 2 b + ..." of (standard, coeff) entries, with
-    term(standard) the text of each character."""
+    """The character row "a - 2 b + ..." of (standard, standard_id, coeff)
+    rows, with term(standard) the text of each character."""
     rhs = ""
-    for e in entries:
-        coeff = e["coeff"]
+    for standard, _, coeff in entries.rows():
         mag = abs(coeff)
-        body = term(e["standard"]) if mag == 1 else f"{mag} {term(e['standard'])}"
+        body = term(standard) if mag == 1 else f"{mag} {term(standard)}"
         if not rhs:
             rhs = f"-{body}" if coeff < 0 else body
         else:
@@ -906,17 +902,16 @@ def render_text(command, data, sink=None):
     elif command == "klpolys":
         _text_cosets(lines, data)
         lines.append("P (c, d): poly")
-        for entry in data["kl_polynomials"]:
-            lines.append(f"  ({entry['c']}, {entry['d']}): {entry['poly']}")
+        for c, d, poly in data["kl_polynomials"].rows():
+            lines.append(f"  ({c}, {d}): {poly}")
     elif command == "characters":
         for row in data["characters"]:
             rhs = _signed_sum(row["entries"], lambda std: f"ch M({std})")
             lines.append(f"ch L({row['irreducible']}) = {rhs or '0'}")
         for row in data.get("multiplicities", []):
             terms = " + ".join(
-                (f"{e['coeff']} " if e["coeff"] != 1 else "")
-                + f"[L({e['irreducible']})]"
-                for e in row["entries"]
+                (f"{coeff} " if coeff != 1 else "") + f"[L({irreducible})]"
+                for irreducible, _, coeff in row["entries"].rows()
             )
             lines.append(f"[M({row['standard']})] = {terms}")
     lines.flush()
@@ -937,38 +932,29 @@ def render_latex(command, data, sink=None):
     lines = _Lines(sink)
     ctx = data["context"]
     lines.append("% " + ctx["type"] + " theta=" + (",".join(ctx["theta"]) or "empty"))
+    latex = cache(_latex_elt)  # each distinct name converted once
     if command == "klpolys":
-        polys = {(e["c"], e["d"]): e["poly"] for e in data["kl_polynomials"]}
+        rows = data["kl_polynomials"].rows
         for m in data["models"]:
-            cols = [f["longest"]["name"] for f in m["cosets"]]
-            ids = [f["id"] for f in m["cosets"]]
-            globals_ = {f["id"]: f["global"] for f in m["cosets"]}
-            lines.append("\\begin{tabular}{c|" + "c" * len(cols) + "}")
-            lines.append(
-                "$P$ & "
-                + " & ".join(f"${_latex_elt(c)}$" for c in cols)
-                + " \\\\ \\hline"
-            )
-            for fid, name in zip(ids, cols):
-                row = [
-                    polys.get((globals_[fid], globals_[gid]), "0")
-                    for gid in ids
-                ]
-                lines.append(
-                    f"${_latex_elt(name)}$ & "
-                    + " & ".join(f"${p}$" for p in row)
-                    + " \\\\"
-                )
+            cosets = list(m["cosets"].rows())
+            ind = [c for *_, c in cosets]
+            names = [f"${latex(longest['name'])}$" for _, longest, *_ in cosets]
+            lines.append("\\begin{tabular}{c|" + "c" * len(names) + "}")
+            lines.append("$P$ & " + " & ".join(names) + " \\\\ \\hline")
+            # the model's rows off the table, in model order: each row holds
+            # its coset's 1, so each coset makes one group
+            for name, (_, row) in zip(names, groupby(rows(ind), _first)):
+                polys = {d: poly for _, d, poly in row}
+                cells = "$ & $".join(map(polys.get, ind, repeat("0")))
+                lines.append(f"{name} & ${cells}$ \\\\")
             lines.append("\\end{tabular}")
     elif command == "characters":
         lines.append("\\begin{align*}")
         for row in data["characters"]:
             rhs = _signed_sum(
-                row["entries"], lambda std: f"\\ch M({_latex_elt(std)}\\lambda)"
+                row["entries"], lambda std: f"\\ch M({latex(std)}\\lambda)"
             )
-            lines.append(
-                f"\\ch L({_latex_elt(row['irreducible'])}\\lambda) &= {rhs} \\\\"
-            )
+            lines.append(f"\\ch L({latex(row['irreducible'])}\\lambda) &= {rhs} \\\\")
         lines.append("\\end{align*}")
     else:
         lines.append("% use --format text or json for this command")

@@ -73,17 +73,21 @@ def argvs() -> list[list[str]]:
     return out
 
 
-def entry(argv: list[str]) -> str:
-    """One manifest line: exit code, SHA-256 of stdout and of stderr, argv."""
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``main(argv)``, run in process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own errors
             code = exc.code
-    digests = (
-        hashlib.sha256(stream.getvalue().encode()).hexdigest() for stream in (out, err)
-    )
+    return code, out.getvalue(), err.getvalue()
+
+
+def entry(argv: list[str]) -> str:
+    """One manifest line: exit code, SHA-256 of stdout and of stderr, argv."""
+    code, *streams = run(argv)
+    digests = (hashlib.sha256(text.encode()).hexdigest() for text in streams)
     return " ".join([str(code), *digests, json.dumps(argv, ensure_ascii=False)])
 
 

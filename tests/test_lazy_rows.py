@@ -1,11 +1,14 @@
 """The documents' long lists are made as they are read: their order, their
-re-iteration, the JSON writer's row pieces, and what they hold."""
+re-iteration, the JSON writer's row pieces, what they hold, and that every
+renderer reads them as tuples."""
 
 import gc
 import json
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -17,8 +20,11 @@ from whitkl.cli import (
     _Below,
     _Rows,
     _Shared,
+    _joined,
     parse_lambda,
     render_json,
+    render_latex,
+    render_text,
     run_characters,
     run_cosets,
     run_info,
@@ -327,3 +333,52 @@ def test_a_render_leaves_no_cycle_for_the_collector():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+ROW_CASES = {
+    "A3-golden": ("A", 3, (0, 1), lambda_golden_a3()),
+    "B4-theta-empty-minus-rho": KL_CASES["B4-theta-empty-minus-rho"],
+    "D5-singular-nonintegral": BELOW_CASES["D5-singular-nonintegral"],
+}
+ROW_COMMANDS = {
+    **BELOW_COMMANDS,
+    "characters --invert": partial(run_characters, invert=True),
+    "characters --verma": partial(run_characters, verma=True),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        (case, command)
+        for case in sorted(ROW_CASES)
+        for command in sorted(ROW_COMMANDS)
+        # --invert and --verma need a regular weight
+        if case != "D5-singular-nonintegral" or command in BELOW_COMMANDS
+    ],
+)
+def test_every_renderer_reads_rows_as_tuples(monkeypatch, case, command):
+    letter, rank, theta, lam = ROW_CASES[case]
+    data = ROW_COMMANDS[command](Job(letter, rank, theta, lam))
+
+    def refuse(rows):
+        raise RuntimeError(f"a renderer iterated the rows {rows.fields}")
+
+    monkeypatch.setattr(_Rows, "__iter__", refuse)
+    name = command.split()[0]
+    assert _joined(render_json, data).startswith("{")
+    for render in (render_text, render_latex):
+        assert _joined(render, name, data).count("\n") > 1
+
+
+def test_kl_rows_of_given_cosets_follow_their_order():
+    # 7 of the 8 models list their global cosets out of ascending order
+    lam = Weight.from_values([Fraction(-1, 2), -1, Fraction(-1, 2), Fraction(-1, 2)])
+    data = run_klpolys(Job("D", 4, (1,), lam))
+    rows = data["kl_polynomials"].rows
+    full = list(rows())
+    inds = [[c for *_, c in model["cosets"].rows()] for model in data["models"]]
+    assert sum(ind != sorted(ind) for ind in inds) == 7 and len(inds) == 8
+    for ind in inds:
+        assert list(rows(ind)) == [row for c in ind for row in full if row[0] == c]
+    assert sorted(chain.from_iterable(map(rows, inds))) == full

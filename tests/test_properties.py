@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from whitkl import LaurentPoly, Weight, build_kl_table, phi_direct  # noqa: E402
 from whitkl import CharacterFormula, invert_multiplicities, laurent  # noqa: E402
-from whitkl.cli import MAX_TRANSCENDENTALS, parse_lambda, weight_name  # noqa: E402
+from whitkl.cli import (  # noqa: E402
+    MAX_TRANSCENDENTALS,
+    InputError,
+    parse_lambda,
+    parse_type,
+    weight_name,
+)
 from whitkl.klengine import (  # noqa: E402
     _decode,
     _digit_cap,
@@ -25,6 +31,7 @@ from whitkl.oracle import _encode, recompute_subgroups, weight_orbit  # noqa: E4
 from whitkl.rootsystem import is_integer, pair  # noqa: E402
 
 from conftest import get_group  # noqa: E402
+from make_cli_manifest import run  # noqa: E402
 from test_cosetlab import _ideals_by_union  # noqa: E402
 from test_klengine import RINGS, _subtract_mu_full_scan, _walk  # noqa: E402
 
@@ -265,3 +272,71 @@ def named_weights(draw):
 @given(named_weights())
 def test_weight_name_parses_back_to_the_weight(lam):
     assert parse_lambda(weight_name(lam), lam.rank) == lam
+
+
+def _not_a_type(text: str) -> bool:
+    try:
+        parse_type(text)
+    except InputError:
+        return True
+    return False
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of near-valid or junk --type, --theta and --lambda text, a
+    command and a format: a weight of the type's rank often enough that
+    some runs exit 0."""
+    type_ = draw(
+        st.one_of(
+            st.sampled_from(["A1", "a2", " B3 ", "C2", "G2", "A3", "D3", "B2"]),
+            # read by the parser, but no root system or not a digit
+            st.sampled_from(["A0", "B1", "D2", "E5", "F3", "G3", "A7", "A٢"]),
+            # never a type: a junk E6 or D6 would build a group of 51 840 or
+            # 23 040 elements
+            st.text(max_size=6).filter(_not_a_type),
+        )
+    )
+    rank = 3 if _not_a_type(type_) else parse_type(type_)[1]
+    names = ["α", "beta", "GAMMA", "1", "2", "3", "0", "7", "", "x"]
+    theta = draw(
+        st.one_of(
+            st.lists(st.sampled_from(names), max_size=3).map(",".join),
+            st.text(max_size=8),
+        )
+    )
+    coordinates = st.sampled_from(
+        ["-1"] * 4 + ["0", "-1/2", "-1+1*t1", "-1-1*t1+2*t2", "-2", "1", "1/0",
+                      "t5", "3 4", "", "--1", "٣"]
+    )
+    lam = draw(
+        st.one_of(
+            st.lists(coordinates, min_size=rank, max_size=rank).map(",".join),
+            st.none(),
+            st.lists(coordinates, min_size=1, max_size=4).map(",".join),
+            st.text(max_size=12),
+        )
+    )
+    command = draw(
+        st.sampled_from(
+            [
+                ["info"], ["cosets"], ["klpolys"], ["characters"],
+                ["characters", "--invert"], ["characters", "--verma"],
+                ["characters", "--invert", "--verma"], ["verify"], ["nothing"],
+            ]
+        )
+    )
+    fmt = draw(st.sampled_from(["text", "json", "latex", "tex"]))
+    argv = [f"--type={type_}", f"--theta={theta}", f"--format={fmt}"]
+    return argv + ([] if lam is None else [f"--lambda={lam}"]) + command
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+def test_the_cli_exits_with_a_code_and_no_traceback(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err
+    if code in (1, 3):
+        # an error is one line on stderr, with nothing on stdout
+        assert err.count("\n") == 1 and not out, argv
