@@ -409,6 +409,49 @@ def test_verify_json_format(capsys):
     assert data["passed"] is True
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "d0985920c31845f098fe471d50d8f273df5ab109b81d11d2549ab72e8a931640"),
+        ("json", "0f598afc29e848e8cfada72464cd1d0dd30bbc2fa8f8902f1938cef12aeb371c"),
+    ],
+)
+def test_d5_verify_is_byte_stable(capsys, fmt, digest):
+    code, out, err = run_cli(capsys, "--format", fmt, *D5_VERIFY_ARGS)
+    assert (code, err) == (0, "")
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "19b2ada4c733f364fe833af7a7c1b1bb664b054d1066cdc8313d6b4514d50993"),
+        ("json", "58cadd2458af0c1c989de6905518f8b439c3f5a22960e6ba37f2d6ec054dc139"),
+    ],
+)
+def test_d5_verify_failure_is_byte_stable(
+    capsys, wrong_reflection_subgroup, fmt, digest
+):
+    code, out, err = run_cli(capsys, "--format", fmt, *D5_VERIFY_ARGS)
+    assert (code, err) == (2, "")
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv", [[*GOLDEN_A3_ARGS, "verify"], D5_VERIFY_ARGS], ids=["A3", "D5"]
+)
+def test_latex_verify_prints_the_text_lines(capsys, argv):
+    code, text, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, latex, err = run_cli(capsys, "--format", "latex", *argv)
+    assert (code, err) == (0, "")
+    assert latex == text
+
+
 def test_singular_characters_via_cli(capsys):
     code, out, err = run_cli(
         capsys,
