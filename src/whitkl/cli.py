@@ -1,8 +1,9 @@
 """Command-line surface: parse a job, run the pipeline, emit tables.
 
-Subcommands: info, cosets, klpolys, characters, verify.  Output formats:
-text (default), json, latex.  All output is byte-stable for identical
-inputs: orderings are fixed everywhere and no randomness is involved.
+Subcommands: info, cosets, klpolys, characters, verify.  Each builds a
+document that one renderer per format writes: text (default), json or
+latex.  All output is byte-stable for identical inputs: orderings are
+fixed everywhere and no randomness is involved.
 
 Output is streamed: the document is written to stdout in bounded chunks
 as it is rendered, never held whole.  Its long lists are not held either:
@@ -29,6 +30,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, compress, groupby, islice, repeat
@@ -42,9 +44,9 @@ from .charformula import (
     singular_formula,
     verma_formula,
 )
-from .cosetlab import _bits, _flags, build_theta_cosets, stabilizer_data
+from .cosetlab import _bits, _flags, stabilizer_data
 from .heckemodule import SpaceMismatchError
-from .klengine import build_kl_table, build_models, phi_direct
+from .klengine import build_kl_table, build_models
 from .rootsystem import Weight, build_root_system, weight_flags
 from .weylgroup import enumerate_group
 
@@ -356,7 +358,8 @@ def _nonzero_entries(names, labels, row):
     return zip(compress(names, row), compress(labels, row), compress(row, row))
 
 
-def run_characters(job, invert=False, verma=False):
+def run_characters(job, invert=False, verma=False, multiplicities=True):
+    """``invert`` requires a regular formula, inverted if ``multiplicities``."""
     group = job.group
     context = job.context()
     if verma:
@@ -398,9 +401,9 @@ def run_characters(job, invert=False, verma=False):
             for x in cf.labels
         ],
     }
-    if invert:
-        if cf.mode != "regular":
-            raise InputError("--invert needs a regular-mode character formula")
+    if invert and cf.mode != "regular":
+        raise InputError("--invert needs a regular-mode character formula")
+    if invert and multiplicities:
         inverse = invert_multiplicities(cf)
         labels = cf.labels
         ordered = [names[x] for x in labels]
@@ -421,80 +424,11 @@ def run_characters(job, invert=False, verma=False):
 
 def run_verify(job):
     # the oracle stays off the path of every other command
-    from .oracle import (
-        OracleReport,
-        bruhat_subword,
-        kl_classical_relation_check,
-        recompute_cosets,
-        recompute_subgroups,
-    )
+    from .oracle import verify
 
-    group = job.group
-    report = OracleReport()
-    scope = f"{job.rs.type_letter}{job.rs.rank}"
-    # at every rank, before the Theta-empty order below is built
-    if job.lam is not None:
-        subgroups = recompute_subgroups(group, job.lam)
-        report.checks.extend(subgroups.checks)
-    # the pipeline's Bruhat order (Theta-empty cosets) against the subword oracle
-    if group.size <= 48:
-        pairs = [(v, w) for v in range(group.size) for w in range(group.size)]
-        kind = "exhaustive"
-    else:
-        state = 1
-        pairs = []
-        while len(pairs) < 10_000:
-            state = (state * 48271) % 2147483647  # fixed-seed Lehmer stream
-            v = state % group.size
-            state = (state * 48271) % 2147483647
-            w = state % group.size
-            if len(group.elements[w].word) <= 12:
-                pairs.append((v, w))
-        kind = "sampled-10k"
-    order = build_theta_cosets(group, ())
-    coset_of = order.coset_of
-    ok = True
-    witness = None
-    for v, w in pairs:
-        if bruhat_subword(group, v, w) != order.leq(coset_of[v], coset_of[w]):
-            ok = False
-            witness = f"(v={v}, w={w})"
-            break
-    report.add("bruhat-vs-subword", f"{scope} {kind}", ok, witness)
-    # definition-level coset recomputation
-    table = None
-    if job.lam is not None and job.rs.rank <= 3:
-        table = build_kl_table(group, job.theta, job.lam)
-        sub = recompute_cosets(
-            group, job.theta, job.lam, table.tc, table.idata, table.models
-        )
-        report.checks.extend(sub.checks)
-    else:
-        report.add(
-            "coset-recomputation",
-            scope,
-            True,
-            "skipped: exhaustive scope is rank <= 3 with a lambda",
-        )
-    # the two phi paths must agree, up to |W| = 1920 (every rank <= 4, A5
-    # and D5); Path A would stop at its own count of a W_lambda refuted above
-    if job.lam is not None:
-        ok, note = True, None
-        if group.size > 1920:
-            note = f"skipped: |W| = {group.size} > 1920"
-        elif not subgroups.passed:
-            note = "skipped: W_lambda or W^lambda failed its check"
-        else:
-            if table is None:
-                table = build_kl_table(group, job.theta, job.lam)
-            pd = phi_direct(table.tc, job.lam)
-            ok = all(pd[c] == table.phi[c] for c in range(table.tc.n_cosets))
-        report.add("phi-direct-vs-transport", scope, ok, note)
-    # classical Kazhdan-Lusztig relation at -rho
-    if group.size <= 1152:
-        ok = kl_classical_relation_check(group, Weight.minus_rho(job.rs.rank))
-        report.add("classical-kl-relation", f"{scope} at -rho", ok)
-    return report
+    report = verify(job.group, job.theta, job.lam)
+    # each check as {"name", "scope", "passed", "counterexample"}
+    return {"passed": report.passed, "checks": list(map(asdict, report.checks))}
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +816,14 @@ def render_text(command, data, sink=None):
     if sink is None:
         return _joined(render_text, command, data)
     lines = _Lines(sink)
+    if command == "verify":  # no context header: one line per check
+        for check in data["checks"]:
+            status = "pass" if check["passed"] else "FAIL"
+            note = check["counterexample"]
+            note = f"  [{note}]" if note else ""
+            lines.append(f"{status}  {check['name']}  ({check['scope']}){note}")
+        lines.flush()
+        return
     ctx = data["context"]
     theta = ",".join(ctx["theta"]) or "(empty)"
     lines.append(f"{ctx['type']}  theta={theta}  lambda={ctx['lambda']}")
@@ -929,6 +871,8 @@ def render_latex(command, data, sink=None):
     """The LaTeX document; to ``sink`` in chunks if given, else returned."""
     if sink is None:
         return _joined(render_latex, command, data)
+    if command == "verify":
+        return render_text(command, data, sink)
     lines = _Lines(sink)
     ctx = data["context"]
     lines.append("% " + ctx["type"] + " theta=" + (",".join(ctx["theta"]) or "empty"))
@@ -1041,34 +985,24 @@ def main(argv=None) -> int:
             raise InputError(f"command {args.command!r} needs --lambda")
         job = Job(letter, rank, theta_probe, lam)
         # every error is raised before the first byte is written
-        if args.command == "verify":
-            report = run_verify(job)
-            code = 0 if report.passed else 2
-            if args.format == "json":
-                sys.stdout.write(report.to_json() + "\n")
-            else:
-                for check in report.checks:
-                    status = "pass" if check.passed else "FAIL"
-                    extra = f"  [{check.counterexample}]" if check.counterexample else ""
-                    sys.stdout.write(
-                        f"{status}  {check.name}  ({check.scope}){extra}\n"
-                    )
+        if args.command == "info":
+            data = run_info(job)
+        elif args.command == "cosets":
+            data = run_cosets(job)
+        elif args.command == "klpolys":
+            data = run_klpolys(job)
+        elif args.command == "characters":
+            # LaTeX prints no multiplicities, so it inverts nothing
+            data = run_characters(job, args.invert, args.verma, args.format != "latex")
         else:
-            code = 0
-            if args.command == "info":
-                data = run_info(job)
-            elif args.command == "cosets":
-                data = run_cosets(job)
-            elif args.command == "klpolys":
-                data = run_klpolys(job)
-            else:
-                data = run_characters(job, invert=args.invert, verma=args.verma)
-            if args.format == "json":
-                render_json(data, sys.stdout.write)
-            elif args.format == "latex":
-                render_latex(args.command, data, sys.stdout.write)
-            else:
-                render_text(args.command, data, sys.stdout.write)
+            data = run_verify(job)
+        code = 2 if data.get("passed") is False else 0
+        if args.format == "json":
+            render_json(data, sys.stdout.write)
+        elif args.format == "latex":
+            render_latex(args.command, data, sys.stdout.write)
+        else:
+            render_text(args.command, data, sys.stdout.write)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

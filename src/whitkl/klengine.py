@@ -148,10 +148,7 @@ class KLTable:
         return _to_global(self._tag, model.ind, self.psi[model.u][f])
 
     def _phi_pairs(self):
-        for model in self.models:
-            ind = model.ind
-            for f, elt in self.psi[model.u].items():
-                yield ind[f], _to_global(self._tag, ind, elt)
+        return _transported(self._tag, self.models, self.psi)
 
     def _poly_at(self, key) -> LaurentPoly:
         try:
@@ -226,6 +223,14 @@ def _model_polys(psi: dict[int, HeckeElt]):
 
 def _to_global(tag, ind, elt: HeckeElt) -> HeckeElt:
     return _trusted_elt(tag, {ind[g]: poly for g, poly in elt.coeffs.items()})
+
+
+def _transported(tag, models, psi_by_u):
+    """(global coset, element): each model's basis, in order, along its ind."""
+    for model in models:
+        ind = model.ind
+        for f, elt in psi_by_u[model.u].items():
+            yield ind[f], _to_global(tag, ind, elt)
 
 
 def kl_basis_model(model: IntegralModel):
@@ -426,12 +431,7 @@ def _assert_kl_shape(coeffs: dict, top: int, ideal: int, one, in_qzq) -> None:
 
 def phi_transport(tc: ThetaCosets, models, psi_by_u) -> dict[int, HeckeElt]:
     """Path A: transport each model basis along ind."""
-    tag = global_tag(tc)
-    phi: dict[int, HeckeElt] = {}
-    for model in models:
-        for f, elt in psi_by_u[model.u].items():
-            phi[model.ind[f]] = _to_global(tag, model.ind, elt)
-    return phi
+    return dict(_transported(global_tag(tc), models, psi_by_u))
 
 
 # Path B's ring: a polynomial in Z[q] is the tuple of its coefficients of

@@ -1,10 +1,13 @@
 """Independent brute-force checks: subword Bruhat order, classical
 Kazhdan-Lusztig polynomials via R-polynomials, definition-level
 recomputation of cosets, cross-sections and integral models, and of
-W_lambda and W^lambda by the lattice and the orbit of lambda; and the
-devices the paper's Sec. 3 proofs use, as references on the production
-tables: the three-case operators T_alpha, restriction to the integral
-models, conjugation through non-integral walls and descent chains.
+W_lambda and W^lambda by the lattice and the orbit of lambda; the action
+of W on weights; and the devices the paper's Sec. 3 proofs use, as
+references on the production tables: the three-case operators T_alpha,
+restriction to the integral models, conjugation through non-integral
+walls and descent chains.  `verify` is the CLI's suite: it builds the
+tables it checks and runs the checks in a fixed order, each within its
+scope.
 
 The checks deliberately avoid the production code paths (descent
 recursions, lifting-property order, orbit-closure cosets) so that a shared
@@ -12,15 +15,14 @@ bug cannot hide.  The Sec. 3 devices read the coset tables the pipeline
 builds (``ThetaCosets.targets``, ``lengths``, ``coset_of``) and apply
 each device by its definition, element by element.  Neither the package
 nor the pipeline imports this module, and the CLI loads it only for
-`verify`; only `kl_classical_relation_check` calls the engine, to compare
-its output with `classical_kl`, and `recompute_subgroups` the pipeline's
+`verify`; `kl_classical_relation_check` calls the engine, to compare its
+output with `classical_kl`, and `recompute_subgroups` the pipeline's
 subgroup routine.  Speed is a non-goal.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -34,10 +36,11 @@ from .cosetlab import (
     _positive_roots,
     _reflection_data,
     _simple_roots_of,
+    build_theta_cosets,
     integral_data,
 )
 from .heckemodule import HeckeElt, SpaceMismatchError, _trusted_elt, global_tag, model_tag
-from .klengine import _DIGIT_BITS, build_kl_table
+from .klengine import _DIGIT_BITS, build_kl_table, phi_direct
 from .laurent import LaurentPoly
 from .rootsystem import Weight, is_integer, is_zero, pair, weight_flags
 from .weylgroup import WeylGroup, _simple_steps
@@ -46,6 +49,7 @@ __all__ = [
     "Check",
     "CosetStep",
     "OracleReport",
+    "act_on_weight",
     "bruhat_subword",
     "classical_kl",
     "conjugate_model",
@@ -65,11 +69,17 @@ __all__ = [
     "t_alpha_model",
     "times_element",
     "times_simple",
+    "verify",
     "weight_orbit",
 ]
 
-SUBWORD_LENGTH_CAP = 12
-CLASSICAL_KL_CAP = 1152
+# scope bounds, shared by `verify` and the checks that raise beyond them
+SUBWORD_LENGTH_CAP = 12  # longest word bruhat_subword enumerates
+CLASSICAL_KL_CAP = 1152  # largest |W| classical_kl solves
+COSET_RANK_CAP = 3  # highest rank recompute_cosets takes
+EXHAUSTIVE_BRUHAT_CAP = 48  # largest |W| whose Bruhat order is checked on all pairs
+BRUHAT_SAMPLE_PAIRS = 10_000  # pairs checked above EXHAUSTIVE_BRUHAT_CAP
+PHI_PATHS_CAP = 1920  # largest |W| with Path A = Path B: rank <= 4, A5 and D5
 
 
 @dataclass(frozen=True)
@@ -91,22 +101,79 @@ class OracleReport:
     def add(self, name: str, scope: str, passed: bool, counterexample=None):
         self.checks.append(Check(name, scope, passed, counterexample))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "scope": c.scope,
-                        "passed": c.passed,
-                        "counterexample": c.counterexample,
-                    }
-                    for c in self.checks
-                ],
-            },
-            indent=2,
+
+def verify(group: WeylGroup, theta, lam: Weight | None) -> OracleReport:
+    """The `verify` suite; a check out of its scope passes, noting why."""
+    rs = group.rs
+    report = OracleReport()
+    scope = f"{rs.type_letter}{rs.rank}"
+    # at every rank, before the Theta-empty order below is built
+    if lam is not None:
+        subgroups = recompute_subgroups(group, lam)
+        report.checks.extend(subgroups.checks)
+    # the pipeline's Bruhat order (Theta-empty cosets) against the subword oracle
+    if group.size <= EXHAUSTIVE_BRUHAT_CAP:
+        pairs = [(v, w) for v in range(group.size) for w in range(group.size)]
+        kind = "exhaustive"
+    else:
+        state = 1
+        pairs = []
+        while len(pairs) < BRUHAT_SAMPLE_PAIRS:
+            state = (state * 48271) % 2147483647  # fixed-seed Lehmer stream
+            v = state % group.size
+            state = (state * 48271) % 2147483647
+            w = state % group.size
+            if len(group.elements[w].word) <= SUBWORD_LENGTH_CAP:
+                pairs.append((v, w))
+        kind = f"sampled-{BRUHAT_SAMPLE_PAIRS // 1000}k"
+    order = build_theta_cosets(group, ())
+    coset_of = order.coset_of
+    for v, w in pairs:
+        if bruhat_subword(group, v, w) != order.leq(coset_of[v], coset_of[w]):
+            witness = f"(v={v}, w={w})"
+            break
+    else:
+        witness = None
+    report.add("bruhat-vs-subword", f"{scope} {kind}", witness is None, witness)
+    # definition-level coset recomputation
+    table = None
+    if lam is not None and rs.rank <= COSET_RANK_CAP:
+        table = build_kl_table(group, theta, lam)
+        sub = recompute_cosets(group, theta, lam, table.tc, table.idata, table.models)
+        report.checks.extend(sub.checks)
+    else:
+        report.add(
+            "coset-recomputation",
+            scope,
+            True,
+            f"skipped: exhaustive scope is rank <= {COSET_RANK_CAP} with a lambda",
         )
+    # the two phi paths must agree; Path A would stop at its own count of a
+    # W_lambda refuted above
+    if lam is not None:
+        ok, note = True, None
+        if group.size > PHI_PATHS_CAP:
+            note = f"skipped: |W| = {group.size} > {PHI_PATHS_CAP}"
+        elif not subgroups.passed:
+            note = "skipped: W_lambda or W^lambda failed its check"
+        else:
+            if table is None:
+                table = build_kl_table(group, theta, lam)
+            pd = phi_direct(table.tc, lam)
+            ok = all(pd[c] == table.phi[c] for c in range(table.tc.n_cosets))
+        report.add("phi-direct-vs-transport", scope, ok, note)
+    # classical Kazhdan-Lusztig relation at -rho
+    if group.size <= CLASSICAL_KL_CAP:
+        ok = kl_classical_relation_check(group, Weight.minus_rho(rs.rank))
+        report.add("classical-kl-relation", f"{scope} at -rho", ok)
+    return report
+
+
+def act_on_weight(group: WeylGroup, w: int, lam: Weight) -> Weight:
+    """Coordinates of w(lam): alpha_i^vee(w lam) = (w^-1 alpha_i)^vee(lam)."""
+    inv, rs = group.inverse[w], group.rs
+    coords = tuple(pair(rs, group.act_on_root(inv, i), lam) for i in range(rs.rank))
+    return Weight(coords, lam.n_transcendentals)
 
 
 def root_images(group: WeylGroup, w: int) -> tuple[int, ...]:
@@ -269,8 +336,10 @@ def recompute_cosets(
 ) -> OracleReport:
     """Re-derive the coset structures by definition-level set operations and
     diff against the production tables."""
-    if group.rs.rank > 3:
-        raise ValueError("coset recomputation is exhaustive-scope, rank <= 3 only")
+    if group.rs.rank > COSET_RANK_CAP:
+        raise ValueError(
+            f"coset recomputation is exhaustive-scope, rank <= {COSET_RANK_CAP} only"
+        )
     rs = group.rs
     report = OracleReport()
     scope = f"{rs.type_letter}{rs.rank}, theta={list(theta)}"
@@ -681,7 +750,7 @@ def conjugate_model(model: IntegralModel, beta: int):
     if is_integer(pair(group.rs, beta, lam)):
         raise ValueError(f"simple root {beta} is integral to lambda")
     s_b = group.simple_ids[beta]
-    new_lam = group.act_on_weight(s_b, lam)
+    new_lam = act_on_weight(group, s_b, lam)
     new_idata = integral_data(group, tc.theta, new_lam)
     j = group.mult(model.u, s_b)
     r = tc.shortest[tc.coset_of[j]]
@@ -731,7 +800,7 @@ def descent_chain(tc: ThetaCosets, idata: IntegralData, c: int):
                 chain.append(b)
                 z = group.mult(z, group.simple_ids[b])
                 cur_c = target
-                cur_lam = group.act_on_weight(group.simple_ids[b], cur_lam)
+                cur_lam = act_on_weight(group, group.simple_ids[b], cur_lam)
                 cur_pi = set(
                     _simple_roots_of(rs, _positive_roots(rs, cur_lam, is_integer))
                 )

@@ -8,8 +8,9 @@ runs and usable in golden files.  Products and inverses walk words through
 that table.  No root permutation is built: every root sign is read off the
 key by w(beta) > 0 iff <beta^vee, w^-1 rho> = ht((w beta)^vee) > 0, and
 the image of a root walks the word through the simple reflections.
-The integer W-orbit of a weight and the closure of a set of elements
-under products are definition-level references and live in ``oracle``.
+The action on a weight, the integer W-orbit of a weight and the closure
+of a set of elements under products are definition-level references and
+live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .rootsystem import RootSystem, Weight, pair
+from .rootsystem import RootSystem
 
 __all__ = ["WeylElt", "WeylGroup", "enumerate_group", "GROUP_SIZE_CAP"]
 
@@ -130,12 +131,6 @@ class WeylGroup:
         for i in reversed(self.elements[w].word):
             root_index = reflections[i][root_index]
         return root_index
-
-    def act_on_weight(self, w: int, lam: Weight) -> Weight:
-        """Coordinates of w(lam): alpha_i^vee(w lam) = (w^-1 alpha_i)^vee(lam)."""
-        inv, rs = self.inverse[w], self.rs
-        coords = tuple(pair(rs, self.act_on_root(inv, i), lam) for i in range(rs.rank))
-        return Weight(coords, lam.n_transcendentals)
 
     def reflection(self, root_index: int) -> int:
         """The reflection in the given root, as a group element id."""

@@ -290,12 +290,15 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert "pass" in out and "FAIL" not in out
     # a failing report must exit 2
     import whitkl.cli as cli_mod
-    from whitkl.oracle import OracleReport
 
     def fake_verify(job):
-        report = OracleReport()
-        report.add("forced", "unit", False, "synthetic counterexample")
-        return report
+        check = {
+            "name": "forced",
+            "scope": "unit",
+            "passed": False,
+            "counterexample": "synthetic counterexample",
+        }
+        return {"passed": False, "checks": [check]}
 
     monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
     code, out, err = run_cli(capsys, *GOLDEN_A3_ARGS, "verify")
@@ -671,6 +674,28 @@ def test_multi_chunk_text_and_latex_are_byte_stable(
     assert code == 0, err
     # digests of the output as written in one piece, before streaming
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_latex_characters_invert_computes_no_inverse(capsys, monkeypatch):
+    # LaTeX prints no multiplicities; text and JSON invert before their
+    # first byte, so a failing inversion leaves stdout empty
+    def broken_inverse(cf):
+        raise AssertionError("inverse computed")
+
+    monkeypatch.setattr(whitkl.cli, "invert_multiplicities", broken_inverse)
+    code, out, err = run_cli(
+        capsys, *B4_ARGS, "--format", "latex", "characters", "--invert"
+    )
+    assert (code, err) == (0, "")
+    assert _digest(out) == (
+        "a98f9a8b226e94507ee923042834bc0513cffad4e1e9c27ed5097e008fffd431"
+    )
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, *B4_ARGS, "--format", fmt, "characters", "--invert"
+        )
+        assert (code, out) == (3, "")
+        assert err == "whitkl: internal error: inverse computed\n"
 
 
 def test_render_json_to_a_sink_holds_a_bounded_part(b4_characters):

@@ -14,7 +14,7 @@ import pytest
 
 from whitkl.cli import parse_lambda
 from whitkl.cosetlab import IntegralSystem, integral_data
-from whitkl.oracle import inversion_set, root_images
+from whitkl.oracle import act_on_weight, inversion_set, root_images
 from whitkl.rootsystem import pair
 
 from conftest import get_group
@@ -38,7 +38,7 @@ def test_signs_and_actions_match_root_images(letter, rank, stride):
         for r in range(p):
             assert g.act_on_root(w, r) == images[r], (w, r)
         inv_images = root_images(g, g.inverse[w])
-        assert g.act_on_weight(w, lam).coords == tuple(
+        assert act_on_weight(g, w, lam).coords == tuple(
             pair(rs, inv_images[i], lam) for i in range(rank)
         )
 
