@@ -430,6 +430,23 @@ def test_d5_verify_is_byte_stable(capsys, fmt, digest):
 
 
 @pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("info", "3d6f83cffadf7797a87ef5476bf65db18bade7777e098abf810eec34828def70"),
+        ("cosets", "de9162794387f6a78cf0d3fbb23ebad00634941651360fb42263efe5ff3e994a"),
+        ("klpolys", "a7d79f3fd23fb6970a0dcae816e84c813b86843890bcc4a31b8f6541e906caae"),
+    ],
+)
+def test_d5_json_documents_are_byte_stable(capsys, command, digest):
+    # 11-12 MB each, many chunks, with every kind of row: element entries,
+    # below lists, and rows of ints and strs
+    code, out, err = run_cli(capsys, *D5_VERIFY_ARGS[:-1], "--format", "json", command)
+    assert (code, err) == (0, "")
+    assert len(out) > 10_000_000
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize(
     "fmt, digest",
     [
         ("text", "19b2ada4c733f364fe833af7a7c1b1bb664b054d1066cdc8313d6b4514d50993"),

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis, from the ``test`` extra)."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,14 @@ from whitkl import CharacterFormula, invert_multiplicities, laurent  # noqa: E40
 from whitkl.cli import (  # noqa: E402
     MAX_TRANSCENDENTALS,
     InputError,
+    Job,
     parse_lambda,
     parse_type,
+    render_json,
+    run_characters,
+    run_cosets,
+    run_info,
+    run_klpolys,
     weight_name,
 )
 from whitkl.klengine import (  # noqa: E402
@@ -123,6 +130,24 @@ def test_model_quotient_ideals_equal_the_per_bit_union(case, data):
         expected = _ideals_by_union(quotient)
         order = data.draw(st.permutations(range(quotient.n_cosets)), label="order")
         assert [quotient.ideal(c) for c in order] == [expected[c] for c in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(type_and_weight(), st.data())
+def test_render_json_is_json_dumps(case, data):
+    # the reference reads rows and below lists as the dicts and lists they
+    # stand for, so it shares no code with the writer
+    letter, rank, lam = case
+    theta = data.draw(st.sets(st.integers(0, rank - 1)), label="theta")
+    job = Job(letter, rank, tuple(sorted(theta)), lam)
+    documents = [run_info(job), run_cosets(job), run_klpolys(job)]
+    for flags in ({}, {"invert": True}, {"verma": True}):
+        try:
+            documents.append(run_characters(job, **flags))
+        except ValueError:  # the weight allows no such formula
+            pass
+    for doc in documents:
+        assert render_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 @st.composite
