@@ -451,8 +451,8 @@ class _Rows(list):
     """A list of flat rows with the keys ``fields``, made as they are read
     and never held: ``rows()`` gives a fresh iterator of value tuples in the
     order of ``fields``, and is how every renderer reads them.
-    ``render_json`` writes a batch of tuples of exact ints and strs without
-    making their dicts; the text and LaTeX renderers unpack each tuple.
+    ``render_json`` writes a batch of tuples without making their dicts;
+    the text and LaTeX renderers unpack each tuple.
 
     The list itself stays empty; it is a list so that ``render_json`` and
     ``json.dumps`` write it as one.  Iterating it yields each row as a dict,
@@ -483,8 +483,8 @@ class _Rows(list):
 
 class _Shared(dict):
     """A dict that a document holds in many places, such as an element's
-    entry.  ``render_json`` makes the text of one in a ``_Rows`` column once
-    per indent, and writes it wherever the dict appears there."""
+    entry.  ``render_json`` makes its text once per indent, and writes that
+    wherever the dict appears at that indent."""
 
     __slots__ = ()
 
@@ -552,7 +552,7 @@ def _joined(render, *args) -> str:
 
 def render_json(data, sink=None):
     """The text of ``json.dumps(data, indent=2, ensure_ascii=False)`` and a
-    newline, written directly.
+    newline, written by a ``_JsonWriter``.
 
     It writes the values the CLI's documents hold: dicts with str keys;
     lists and tuples, subclasses included; str, int, bool and None.  Any
@@ -561,211 +561,13 @@ def render_json(data, sink=None):
     With a ``sink``, the text goes to it in chunks of about
     ``_CHUNK_PIECES`` pieces and None is returned; without one, the text
     is returned.
-
-    With ``indent`` set, ``json.dumps`` does not use its C encoder, and the
-    pure-Python one spends most of a large document's time in generators.
-    This writer appends to one list, encodes each distinct string key once,
-    and writes a list or object whose values are all scalars with a single
-    join.  A ``_Below`` list is written with one join of pre-joined
-    ``",<newline><indent>id"`` pieces, picked by the 0/1 flags of its mask.
-    A ``_Rows`` list is written a batch of rows at a time.  A batch whose
-    columns each hold exact ints and strs, ``_Below`` lists or ``_Shared``
-    dicts is written from the pieces every row shares (keys, braces,
-    commas), interleaved with its columns' value texts: each distinct int
-    and str's made once per render, each ``_Shared`` dict's once per render
-    and indent.  Any other batch takes the walk above.
     """
     if sink is None:
         return _joined(render_json, data)
-    out: list[str] = []
-    append = out.append
-    limit = _CHUNK_PIECES
-    scalars = _JSON_SCALARS
-    # encoded str keys; a key of another type is never equal to a str
-    key_text: dict[str, str] = {}
-
-    def key(k) -> str:
-        if not isinstance(k, str):
-            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-        text = key_text[k] = encode_basestring(k) + ": "
-        return text
-
-    hold = False  # set while a ``_Shared`` dict's text is made in ``out``
-
-    def flush() -> None:
-        if not hold:  # that text must not be split off
-            sink("".join(out))
-            out.clear()
-
-    def write(value, nl: str) -> None:
-        enc = scalars.get(type(value))
-        if enc is not None:
-            append(enc(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = nl + "  "
-            sep = "," + inner
-            if type(value) is _Below:
-                append(below_text(value, nl))
-                return
-            if type(value) is _Rows:
-                write_rows(value, inner)
-                append(nl + "]")
-                return
-            parts = []
-            for v in value:
-                enc = scalars.get(type(v))
-                if enc is None:
-                    break
-                parts.append(enc(v))
-            else:
-                append("[" + inner + sep.join(parts) + nl + "]")
-                return
-            lead = "[" + inner
-            for v in value:
-                append(lead)
-                write(v, inner)
-                if len(out) >= limit:
-                    flush()
-                lead = sep
-            append(nl + "]")
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = nl + "  "
-            sep = "," + inner
-            parts = []
-            for k, v in value.items():
-                enc = scalars.get(type(v))
-                if enc is None:
-                    break
-                parts.append((key_text.get(k) or key(k)) + enc(v))
-            else:
-                append("{" + inner + sep.join(parts) + nl + "}")
-                return
-            lead = "{" + inner
-            for k, v in value.items():
-                append(lead + (key_text.get(k) or key(k)))
-                write(v, inner)
-                if len(out) >= limit:
-                    flush()
-                lead = sep
-            append(nl + "}")
-        else:
-            raise TypeError(
-                f"Object of type {value.__class__.__name__} is not JSON serializable"
-            )
-
-    # indent -> its pieces "," + indent + str(i), for the widest mask so far
-    id_pieces: dict[str, list[str]] = {}
-
-    def below_text(below: _Below, nl: str) -> str:
-        if not below.mask:
-            return "[]"
-        flags = _flags(below.mask)
-        pieces = id_pieces.get(nl)
-        if pieces is None:
-            pieces = id_pieces[nl] = []
-        if len(flags) > len(pieces):
-            sep = "," + nl + "  "
-            pieces += map(sep.__add__, map(str, range(len(pieces), len(flags))))
-        ids = compress(pieces, flags)
-        first = next(ids)
-        return "".join(chain(("[" + first[1:],), ids, (nl + "]",)))
-
-    # (id, indent) -> (text, dict): the dict is held, so its id stays its own
-    shared: dict[tuple[int, str], tuple[str, _Shared]] = {}
-
-    def shared_text(value: _Shared, nl: str) -> str:
-        hit = shared.get((id(value), nl))
-        if hit is None:
-            nonlocal hold
-            start, outer, hold = len(out), hold, True
-            try:
-                write(value, nl)
-            finally:
-                hold = outer
-            hit = shared[id(value), nl] = ("".join(out[start:]), value)
-            del out[start:]
-        return hit[0]
-
-    # JSON text of an exact str or int, made once per distinct value
-    text = _Texts().__getitem__
-
-    def column_texts(column: tuple, nl: str):
-        """The texts of a column's values, or None if the pieces do not take
-        them."""
-        kinds = set(map(type, column))
-        if kinds == {_Below}:
-            return map(below_text, column, repeat(nl))
-        if kinds == {_Shared}:
-            # made before the row pieces are, as a miss writes to ``out``
-            return list(map(shared_text, column, repeat(nl)))
-        if kinds <= {int, str}:
-            return map(text, column)
-        return None
-
-    # (keys, indent) -> the pieces all rows of that shape share, each an
-    # endless repeat that every batch reads as far as its values go: "," and
-    # "{" before the first key, "," before each later key, and the close
-    shapes: dict[tuple, tuple[list, repeat]] = {}
-
-    def write_rows(rows: _Rows, inner: str) -> None:
-        fields = rows.fields
-        nl = inner + "  "
-        shape = shapes.get((fields, inner))
-        if shape is None:
-            heads = ["," + nl + (key_text.get(k) or key(k)) for k in fields]
-            if heads:
-                heads[0] = "," + inner + "{" + heads[0][1:]
-            shape = shapes[fields, inner] = (
-                list(map(repeat, heads)),
-                repeat(inner + "}"),
-            )
-        heads, close = shape
-        lead = "["  # leads the list's first row; "," leads each later one
-        it = rows.rows()
-        # a batch adds about ``limit`` pieces, or, where the rows' texts are
-        # long (below lists), about _CHUNK_CHARS characters
-        most = size = limit // (2 * len(fields) + 1)
-        held = 0  # characters of row pieces written since the last flush
-        while batch := list(islice(it, size)):
-            columns = zip(*batch)
-            # exact ints and strs only: a bool would find the text of 0 or 1
-            if set(map(type, chain.from_iterable(batch))) <= {int, str}:
-                texts, long = [map(text, column) for column in columns], False
-            else:
-                texts, long = [column_texts(column, nl) for column in columns], True
-            # rows with no field have no column to be counted by
-            if heads and None not in texts:
-                start = len(out)
-                out.extend(chain.from_iterable(zip(*chain(*zip(heads, texts)), close)))
-                out[start] = lead + out[start][1:]
-                if long:
-                    chars = sum(map(len, out[start:]))
-                    held += chars
-                    size = min(most, max(1, size * _CHUNK_CHARS // chars))
-            else:
-                for row in batch:
-                    append(lead + inner)
-                    write(dict(zip(fields, row)), inner)
-                    lead = ","
-            lead = ","
-            if len(out) >= limit or held >= _CHUNK_CHARS:
-                flush()
-                held = 0
-
-    try:
-        write(data, "\n")
-    finally:
-        # write and write_rows reach each other and write itself through
-        # their cells: unbind both, so that a render leaves no cycle
-        write = write_rows = None
-    append("\n")
-    flush()
+    writer = _JsonWriter(sink)
+    writer.write(data, "\n")
+    writer.out.append("\n")
+    writer.flush()
 
 
 class _Texts(dict):
@@ -774,6 +576,166 @@ class _Texts(dict):
     def __missing__(self, value) -> str:
         text = self[value] = _JSON_SCALARS[type(value)](value)
         return text
+
+
+class _Keys(dict):
+    """JSON text of str keys, each with its ": ", made on first use."""
+
+    def __missing__(self, k) -> str:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        text = self[k] = encode_basestring(k) + ": "
+        return text
+
+
+class _JsonWriter:
+    """One JSON render: a piece list handed to ``sink`` as it fills, and
+    the texts made once and reused.
+
+    With ``indent`` set, ``json.dumps`` does not use its C encoder, and the
+    pure-Python one spends most of a large document's time in generators.
+    This writer appends to one list and encodes each distinct key once.
+    ``write`` streams dicts and lists item by item and a ``_Rows`` list a
+    batch of rows at a time; ``whole`` makes the text of any other value,
+    and of each value in a row, in one piece.  A batch of rows is written
+    as the pieces every row shares (keys, braces, commas) interleaved with
+    each column's texts: each distinct exact int and str's text is made
+    once per render, and each ``_Shared`` dict's once per render and
+    indent.  A ``_Below`` list is one join of pre-joined
+    ``",<newline><indent>id"`` pieces, picked by the 0/1 flags of its mask.
+    """
+
+    def __init__(self, sink):
+        self.sink = sink
+        self.out: list[str] = []
+        self.key = _Keys().__getitem__  # a key that is not a str is never in it
+        self.text = _Texts().__getitem__
+        # indent -> {id: text} of each _Shared dict, held so its id stays its own
+        self.shared: dict[str, dict[int, str]] = {}
+        self.held: list[_Shared] = []
+        # indent -> its pieces "," + indent + str(i), for the widest mask so far
+        self.ids: dict[str, list[str]] = {}
+        # (keys, indent) -> the pieces every row of that shape shares: each
+        # key's lead, endless, the first one opening the row, and the close
+        self.shapes: dict[tuple, tuple[list[str], str]] = {}
+
+    def flush(self) -> None:
+        self.sink("".join(self.out))
+        self.out.clear()
+
+    def items(self, value) -> tuple:
+        """The key texts, values and brackets of a dict, list or tuple."""
+        if isinstance(value, dict):
+            return map(self.key, value), value.values(), "{}"
+        if isinstance(value, (list, tuple)):
+            return repeat(""), value, "[]"
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} is not JSON serializable"
+        )
+
+    def write(self, value, nl: str) -> None:
+        """Append a value on a line indented by ``nl``: a dict or list item
+        by item, a ``_Rows`` list a batch of rows at a time, and any other
+        value, or an empty one, as its ``whole`` text."""
+        kind = type(value)
+        if kind in _JSON_SCALARS or kind is _Below or kind is _Shared or not value:
+            self.out.append(self.whole(value, nl))
+        elif kind is _Rows:
+            self.rows(value, nl)
+        else:
+            keys, values, brackets = self.items(value)
+            out, inner = self.out, nl + "  "
+            lead = brackets[0] + inner
+            for k, v in zip(keys, values):
+                out.append(lead + k)
+                self.write(v, inner)
+                if len(out) >= _CHUNK_PIECES:
+                    self.flush()
+                lead = "," + inner
+            out.append(nl + brackets[1])
+
+    def whole(self, value, nl: str) -> str:
+        """The text of a value on a line indented by ``nl``, in one piece."""
+        kind = type(value)
+        if kind in _JSON_SCALARS:
+            return _JSON_SCALARS[kind](value)
+        if kind is _Below:
+            return self.below(value, nl)
+        cached = self.shared.setdefault(nl, {})
+        if kind is _Shared and id(value) in cached:
+            return cached[id(value)]
+        keys, values, brackets = self.items(value)
+        if not value:
+            return brackets
+        inner = nl + "  "
+        if set(map(type, values)) <= {int, str}:  # no call per value
+            texts = map(self.text, values)
+        else:
+            texts = map(self.whole, values, repeat(inner))
+        parts = map(str.__add__, keys, texts)
+        text = brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
+        if kind is _Shared:
+            cached[id(value)] = text
+            self.held.append(value)
+        return text
+
+    def below(self, below: _Below, nl: str) -> str:
+        """The text of a ``_Below`` list, in one join."""
+        if not below.mask:
+            return "[]"
+        flags = _flags(below.mask)
+        pieces = self.ids.setdefault(nl, [])
+        if len(flags) > len(pieces):
+            sep = "," + nl + "  "
+            pieces += map(sep.__add__, map(str, range(len(pieces), len(flags))))
+        ids = compress(pieces, flags)
+        first = next(ids)
+        return "".join(chain(("[" + first[1:],), ids, (nl + "]",)))
+
+    def rows(self, rows: _Rows, nl: str) -> None:
+        """Append a non-empty ``_Rows`` list, a batch of rows at a time."""
+        out, fields, inner = self.out, rows.fields, nl + "  "
+        shape = self.shapes.get((fields, inner))
+        if shape is None:
+            heads = ["," + inner + "  " + self.key(k) for k in fields]
+            if heads:
+                heads[0] = "," + inner + "{" + heads[0][1:]
+            close = inner + "}" if heads else "," + inner + "{}"
+            shape = self.shapes[fields, inner] = (list(map(repeat, heads)), close)
+        heads, close = shape
+        cell = inner + "  "
+        lead = "["  # leads the list's first row; "," leads each later one
+        it = rows.rows()
+        # a batch adds about _CHUNK_PIECES pieces, or, where the rows' texts
+        # are long (below lists), about _CHUNK_CHARS characters
+        most = size = _CHUNK_PIECES // (2 * len(fields) + 1)
+        held = 0  # characters of row pieces written since the last flush
+        while batch := list(islice(it, size)):
+            pieces, long = [], False
+            for head, column in zip(heads, zip(*batch)):
+                kinds = set(map(type, column))
+                # exact ints and strs only: a bool would find the text of 0 or 1
+                if kinds <= {int, str}:
+                    texts = map(self.text, column)
+                elif kinds == {_Below}:
+                    texts, long = map(self.below, column, repeat(cell)), True
+                else:  # a _Shared dict's text once made; any other cell's whole
+                    shared = self.shared.setdefault(cell, {}).get
+                    texts = [shared(id(v)) or self.whole(v, cell) for v in column]
+                    long = True
+                pieces += head, texts
+            start = len(out)
+            out.extend(chain.from_iterable(zip(*pieces, repeat(close, len(batch)))))
+            out[start] = lead + out[start][1:]
+            lead = ","
+            if long:
+                chars = sum(map(len, out[start:]))
+                held += chars
+                size = min(most, max(1, size * _CHUNK_CHARS // chars))
+            if len(out) >= _CHUNK_PIECES or held >= _CHUNK_CHARS:
+                self.flush()
+                held = 0
+        out.append(nl + "]")
 
 
 def parse_output(text: str) -> dict:
