@@ -439,9 +439,7 @@ def run_verify(job):
 # text of a large document.  The JSON writer flushes once its piece list
 # holds _CHUNK_PIECES pieces, or its rows' pieces _CHUNK_CHARS characters;
 # the text and LaTeX writers once their lines hold _CHUNK_CHARS
-# characters.  A document is built of dicts with str keys, lists and
-# tuples, and str, int, bool and None; the JSON writer accepts nothing
-# else.  Its long lists are _Rows, made as they are read.
+# characters.  A document's long lists are _Rows, made as they are read.
 
 _CHUNK_PIECES = 2048
 _CHUNK_CHARS = 1 << 16
@@ -541,6 +539,7 @@ _JSON_SCALARS = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
+_INT_STR = frozenset({int, str})  # not bool: True would find the text of 1
 
 
 def _joined(render, *args) -> str:
@@ -624,11 +623,12 @@ class _JsonWriter:
         self.out.clear()
 
     def items(self, value) -> tuple:
-        """The key texts, values and brackets of a dict, list or tuple."""
+        """The key texts (None for a list), values and brackets of a dict,
+        list or tuple."""
         if isinstance(value, dict):
             return map(self.key, value), value.values(), "{}"
         if isinstance(value, (list, tuple)):
-            return repeat(""), value, "[]"
+            return None, value, "[]"
         raise TypeError(
             f"Object of type {value.__class__.__name__} is not JSON serializable"
         )
@@ -646,7 +646,7 @@ class _JsonWriter:
             keys, values, brackets = self.items(value)
             out, inner = self.out, nl + "  "
             lead = brackets[0] + inner
-            for k, v in zip(keys, values):
+            for k, v in zip(keys or repeat(""), values):
                 out.append(lead + k)
                 self.write(v, inner)
                 if len(out) >= _CHUNK_PIECES:
@@ -661,18 +661,19 @@ class _JsonWriter:
             return _JSON_SCALARS[kind](value)
         if kind is _Below:
             return self.below(value, nl)
-        cached = self.shared.setdefault(nl, {})
-        if kind is _Shared and id(value) in cached:
-            return cached[id(value)]
+        if kind is _Shared:
+            cached = self.shared.setdefault(nl, {})
+            if id(value) in cached:
+                return cached[id(value)]
         keys, values, brackets = self.items(value)
         if not value:
             return brackets
         inner = nl + "  "
-        if set(map(type, values)) <= {int, str}:  # no call per value
+        if _INT_STR.issuperset(map(type, values)):  # no call per value
             texts = map(self.text, values)
         else:
             texts = map(self.whole, values, repeat(inner))
-        parts = map(str.__add__, keys, texts)
+        parts = texts if keys is None else map(str.__add__, keys, texts)
         text = brackets[0] + inner + ("," + inner).join(parts) + nl + brackets[1]
         if kind is _Shared:
             cached[id(value)] = text
@@ -695,15 +696,15 @@ class _JsonWriter:
     def rows(self, rows: _Rows, nl: str) -> None:
         """Append a non-empty ``_Rows`` list, a batch of rows at a time."""
         out, fields, inner = self.out, rows.fields, nl + "  "
+        cell = inner + "  "
         shape = self.shapes.get((fields, inner))
         if shape is None:
-            heads = ["," + inner + "  " + self.key(k) for k in fields]
+            heads = ["," + cell + self.key(k) for k in fields]
             if heads:
                 heads[0] = "," + inner + "{" + heads[0][1:]
             close = inner + "}" if heads else "," + inner + "{}"
             shape = self.shapes[fields, inner] = (list(map(repeat, heads)), close)
         heads, close = shape
-        cell = inner + "  "
         lead = "["  # leads the list's first row; "," leads each later one
         it = rows.rows()
         # a batch adds about _CHUNK_PIECES pieces, or, where the rows' texts
@@ -714,8 +715,7 @@ class _JsonWriter:
             pieces, long = [], False
             for head, column in zip(heads, zip(*batch)):
                 kinds = set(map(type, column))
-                # exact ints and strs only: a bool would find the text of 0 or 1
-                if kinds <= {int, str}:
+                if kinds <= _INT_STR:
                     texts = map(self.text, column)
                 elif kinds == {_Below}:
                     texts, long = map(self.below, column, repeat(cell)), True

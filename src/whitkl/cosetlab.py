@@ -341,9 +341,10 @@ class IntegralSystem:
     and the right-step table of each reflection in Pi_lambda, both as
     ``integral_data`` got them from ``_reflection_subgroup``.
 
-    Its order is not the restriction of the Bruhat order of W: e.g. in B2
-    with an A1 x A1 integral system, the two orthogonal simple reflections
-    are incomparable here although one is a subword of the other in W.
+    Its Bruhat order, that of ``cosets(())``, is not the restriction of the
+    Bruhat order of W: e.g. in B2 with an A1 x A1 integral system, the two
+    orthogonal simple reflections are incomparable here although one is a
+    subword of the other in W.
     ``cosets(J)`` hands out one ThetaCosets per subset J of Pi_lambda, so
     every integral model with the same Theta(u,lambda) shares it.
     """
@@ -363,11 +364,6 @@ class IntegralSystem:
                 self.group, self.lengths, self.steps, self.lengths, theta
             )
         return tc
-
-    def leq(self, v: int, w: int) -> bool:
-        """Bruhat order of (W_lambda, Pi_lambda) on element ids."""
-        elements = self.cosets(())
-        return elements.leq(elements.coset_of[v], elements.coset_of[w])
 
 
 def subgroup_bruhat(group: WeylGroup, idata: "IntegralData") -> IntegralSystem:

@@ -332,10 +332,12 @@ def test_criterion_4_section3_property_suite():
                 _check_u_in_db_coset(group, idata)
                 # Cor: left multiplication by A_lambda preserves order
                 members = sorted(idata.w_lambda_ids)
+                elements = order.cosets(())  # W_lambda's own Bruhat order
+                coset_of = elements.coset_of
                 for u in idata.a_lambda:
                     for v in members:
                         for w in members:
-                            if order.leq(v, w):
+                            if elements.leq(coset_of[v], coset_of[w]):
                                 assert group.bruhat_leq(
                                     group.mult(u, v), group.mult(u, w)
                                 )

@@ -495,7 +495,10 @@ def test_integral_order_is_not_the_restricted_bruhat_order():
     assert g.rs.root_pairing(a, b) == 0
     s_a, s_b = g.reflection(a), g.reflection(b)
     order = subgroup_bruhat(g, idata)
-    assert (order.leq(s_a, s_b), order.leq(s_b, s_a)) == (False, False)
+    # the Bruhat order of (W_lambda, Pi_lambda), on its trivial cosets
+    elements = order.cosets(())
+    c_a, c_b = elements.coset_of[s_a], elements.coset_of[s_b]
+    assert (elements.leq(c_a, c_b), elements.leq(c_b, c_a)) == (False, False)
     assert (g.bruhat_leq(s_a, s_b), g.bruhat_leq(s_b, s_a)) == (True, False)
     model = build_integral_model(build_theta_cosets(g, ()), idata, 0, order)
     f, h = model.coset_of[s_a], model.coset_of[s_b]

@@ -310,6 +310,18 @@ def test_shared_dicts_and_long_rows_match_json_dumps():
     assert_same_text("".join(chunks), _reference_json(doc))
 
 
+def test_values_written_whole_match_json_dumps():
+    # lists and dicts inside a _Shared dict or a row are written in one
+    # piece; a bool among their ints must find neither the text of 0 nor 1
+    shared = _Shared(word=[1, True, 0, False], flags={"a": True, "b": 1})
+    cells = [([1, True],), ({"k": [0, False, None]},), ([],), ({},), (shared,)]
+    doc = {
+        "shared": [shared, [shared]],
+        "rows": _Rows(("x",), lambda: iter(cells), len(cells)),
+    }
+    assert_same_text(render_json(doc), _reference_json(doc))
+
+
 def test_below_wider_than_every_id_text_so_far_matches_json_dumps():
     doc = {
         "narrow": _Below(0b1011),
