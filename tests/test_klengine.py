@@ -238,6 +238,57 @@ def test_phi_direct_pairs_lambda_once_and_moves_no_weight(monkeypatch):
     assert 0 < calls["pair"] <= len(g.rs.roots)
 
 
+def _phi_direct_rows(monkeypatch, tc, lam):
+    """(phi_direct(tc, lam), the rows it builds): `_assert_kl_shape` runs
+    once per row Path B builds."""
+    from whitkl import klengine
+
+    rows = 0
+    real = klengine._assert_kl_shape
+
+    def counted(*args):
+        nonlocal rows
+        rows += 1
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(klengine, "_assert_kl_shape", counted)
+        direct = phi_direct(tc, lam)
+    return direct, rows
+
+
+def test_phi_direct_rows_on_the_integral_regular_block(monkeypatch):
+    # F4 Theta = {alpha} at -rho: every simple root is integral, so Path B
+    # only takes T-steps, one row per coset above the base
+    lam = Weight.minus_rho(4)
+    table = build_kl_table(get_group("F", 4), (0,), lam)
+    direct, rows = _phi_direct_rows(monkeypatch, table.tc, lam)
+    assert direct == table.phi
+    assert table.tc.n_cosets == 576
+    assert rows == 575
+
+
+@pytest.mark.parametrize(
+    "letter,rank,theta,text",
+    [
+        ("B", 5, (), "-1/2,-1+1*t1,-1,-1-1*t1,-1/2"),
+        ("C", 5, (), "-1/2,-1+1*t1,-1,-1-1*t1,-1/2"),
+        ("E", 6, (1, 2, 3, 4, 5), "-1-1*t1,-1-1*t1,-1,-1,-1,-1"),
+    ],
+    ids=["B5", "C5", "E6"],
+)
+def test_phi_direct_equals_transport_above_the_verify_cap(letter, rank, theta, text):
+    # verify compares the paths only up to |W| = PHI_PATHS_CAP
+    from whitkl.cli import parse_lambda
+    from whitkl.oracle import PHI_PATHS_CAP
+
+    g = get_group(letter, rank)
+    assert g.size > PHI_PATHS_CAP
+    lam = parse_lambda(text, rank)
+    table = build_kl_table(g, theta, lam)
+    assert phi_direct(table.tc, lam) == table.phi
+
+
 def _laurent_constant(poly):
     return poly.coeff(0)
 
