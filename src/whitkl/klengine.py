@@ -10,8 +10,11 @@ Two independent paths compute the basis phi on the global coset module:
   -rho), and serves phi and the polynomial table as views over psi.
 * Path B (cross-check): recurse directly on global cosets, using the
   T-operator for integral simple descents and label relabeling for
-  non-integral ones.  It reads lam only through its integral roots, and
-  moves that root set, never a weight, across a non-integral wall.
+  non-integral ones, taking the cheapest: a relabel of a row already
+  built, else an integral descent, which stays in the class, else a
+  relabel of a row built now.  It reads lam only through its integral
+  roots, and moves that root set, never a weight, across a non-integral
+  wall.
 
 Path A's recursion runs on packed ints.  Every polynomial it meets lies
 in Z[q]: the basis coefficients off the diagonal are in qZ[q], and only
@@ -496,10 +499,13 @@ def _tuple_decode(p: tuple) -> LaurentPoly:
 def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     """Path B: direct recursion on global cosets across weight moves.
 
-    A coset with a non-integral simple descent beta is reached from C s_beta
-    at the weight s_beta(weight), by relabelling; otherwise an integral
-    descent alpha gives T_alpha of the shorter element, which
-    `_subtract_mu` turns into a basis element by walking its support.
+    A non-integral simple descent beta reaches C from C s_beta at the
+    weight s_beta(weight), by relabelling; an integral descent alpha gives
+    T_alpha of the shorter element, which `_subtract_mu` turns into a
+    basis element by walking its support.  The basis element at C is
+    unique, so any descent gives it, and the cheapest is taken: a relabel
+    whose source row is built (free), else an integral descent (it stays
+    in C's class), else the first non-integral one.
     The recursion reads a weight mu only through its integral roots
     Sigma_mu = {r : <r^vee, mu> in Z}: simple root i is integral iff it is
     in Sigma_mu, and Sigma_{s_beta mu} = s_beta(Sigma_mu).  So it runs on
@@ -581,13 +587,14 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             result = memo[key] = {0: one}
             return result
         _, nonintegral, integral = classes[k]
+        down = [b for b in nonintegral if lengths[targets[b][c]] < lengths[c]]
         result = None
-        for beta in nonintegral:
-            target = targets[beta][c]
-            if lengths[target] < lengths[c]:
-                result = relabel(compute(move(k, beta), target), beta)
+        for beta in down:  # a relabel of a row already built builds none
+            source = memo.get((move(k, beta), targets[beta][c]))
+            if source is not None:
+                result = relabel(source, beta)
                 break
-        if result is None:
+        if result is None:  # an integral descent stays in class k
             for alpha in integral:
                 target = targets[alpha][c]
                 if lengths[target] < lengths[c]:
@@ -602,6 +609,9 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
                     )
                     result = {d: canon.setdefault(p, p) for d, p in xi.items()}
                     break
+        if result is None and down:
+            beta = down[0]
+            result = relabel(compute(move(k, beta), targets[beta][c]), beta)
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
         _assert_kl_shape(result, c, tc.ideal(c), one, _tuple_in_qzq)

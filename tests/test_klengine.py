@@ -183,7 +183,8 @@ def test_mixed_weight_b2_paths_agree():
 
 
 # the benchmark's D5 base weight: Path B moves through 80 integral-root
-# classes, met as 160 weights
+# classes, met as 160 weights, and builds 3 663 rows (10 669 when it took
+# a non-integral descent first wherever one existed)
 D5_NONINTEGRAL = Weight.from_values(
     [0, (-1, (1,)), Fraction(-1, 2), (-1, (-1,)), -1], n_transcendentals=1
 )
@@ -255,6 +256,15 @@ def _phi_direct_rows(monkeypatch, tc, lam):
         patch.setattr(klengine, "_assert_kl_shape", counted)
         direct = phi_direct(tc, lam)
     return direct, rows
+
+
+def test_phi_direct_rows_on_the_d5_singular_weight(monkeypatch):
+    # relabelling a built row first, then staying in the class, builds
+    # 3 663 rows; a non-integral descent always first built 10 669
+    table = build_kl_table(get_group("D", 5), (), D5_NONINTEGRAL)
+    direct, rows = _phi_direct_rows(monkeypatch, table.tc, D5_NONINTEGRAL)
+    assert direct == table.phi
+    assert rows <= 3700
 
 
 def test_phi_direct_rows_on_the_integral_regular_block(monkeypatch):
