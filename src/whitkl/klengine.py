@@ -587,20 +587,24 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
             result = memo[key] = {0: one}
             return result
         _, nonintegral, integral = classes[k]
-        down = [b for b in nonintegral if lengths[targets[b][c]] < lengths[c]]
-        result = None
-        for beta in down:  # a relabel of a row already built builds none
-            source = memo.get((move(k, beta), targets[beta][c]))
-            if source is not None:
-                result = relabel(source, beta)
-                break
+        top = lengths[c]
+        result = first = None
+        for beta in nonintegral:  # a relabel of a row already built builds none
+            target = targets[beta][c]
+            if lengths[target] < top:
+                source = (move(k, beta), target)
+                if source in memo:
+                    result = relabel(memo[source], beta)
+                    break
+                if first is None:
+                    first = beta, source
         if result is None:  # an integral descent stays in class k
             for alpha in integral:
                 target = targets[alpha][c]
-                if lengths[target] < lengths[c]:
+                if lengths[target] < top:
                     xi = _subtract_mu(
                         t_step(compute(k, target), alpha),
-                        lengths[c],
+                        top,
                         lambda d: compute(k, d),
                         length,
                         _tuple_constant,
@@ -609,9 +613,9 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
                     )
                     result = {d: canon.setdefault(p, p) for d, p in xi.items()}
                     break
-        if result is None and down:
-            beta = down[0]
-            result = relabel(compute(move(k, beta), targets[beta][c]), beta)
+        if result is None and first:
+            beta, source = first
+            result = relabel(compute(*source), beta)
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
         _assert_kl_shape(result, c, tc.ideal(c), one, _tuple_in_qzq)
