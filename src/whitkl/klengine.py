@@ -8,13 +8,12 @@ Two independent paths compute the basis phi on the global coset module:
   interned in one value -> object store (the polynomials take few
   distinct values: 1 691 among the 396 809 of F4 with Theta empty at
   -rho), and serves phi and the polynomial table as views over psi.
-* Path B (cross-check): recurse directly on global cosets, using the
-  T-operator for integral simple descents and label relabeling for
-  non-integral ones, taking the cheapest: a relabel of a row already
-  built, else an integral descent, which stays in the class, else a
-  relabel of a row built now.  It reads lam only through its integral
-  roots, and moves that root set, never a weight, across a non-integral
-  wall.
+* Path B (cross-check): recurse directly on global cosets, by the
+  cheapest simple descent: a relabel of a row already built (free),
+  else the T-operator at an integral descent (it stays in the class),
+  else a relabel across a non-integral wall of a row built now.  It
+  reads lam only through its integral roots, and moves that root set,
+  never a weight, across a non-integral wall.
 
 Path A's recursion runs on packed ints.  Every polynomial it meets lies
 in Z[q]: the basis coefficients off the diagonal are in qZ[q], and only
@@ -500,12 +499,11 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
     """Path B: direct recursion on global cosets across weight moves.
 
     A non-integral simple descent beta reaches C from C s_beta at the
-    weight s_beta(weight), by relabelling; an integral descent alpha gives
+    weight s_beta(weight), by relabelling; an integral one alpha gives
     T_alpha of the shorter element, which `_subtract_mu` turns into a
-    basis element by walking its support.  The basis element at C is
-    unique, so any descent gives it, and the cheapest is taken: a relabel
-    whose source row is built (free), else an integral descent (it stays
-    in C's class), else the first non-integral one.
+    basis element.  Every descent gives the one basis element at C, so
+    the cheapest is taken: a relabel of a row already built (free), else
+    an integral descent (it stays in C's class), else a non-integral one.
     The recursion reads a weight mu only through its integral roots
     Sigma_mu = {r : <r^vee, mu> in Z}: simple root i is integral iff it is
     in Sigma_mu, and Sigma_{s_beta mu} = s_beta(Sigma_mu).  So it runs on
@@ -592,12 +590,13 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
         for beta in nonintegral:  # a relabel of a row already built builds none
             target = targets[beta][c]
             if lengths[target] < top:
-                source = (move(k, beta), target)
-                if source in memo:
-                    result = relabel(memo[source], beta)
+                # look only along a move already made: making one interns a class
+                source = memo.get((moves.get((k, beta)), target))
+                if source is not None:
+                    result = relabel(source, beta)
                     break
                 if first is None:
-                    first = beta, source
+                    first = beta, target
         if result is None:  # an integral descent stays in class k
             for alpha in integral:
                 target = targets[alpha][c]
@@ -614,8 +613,8 @@ def phi_direct(tc: ThetaCosets, lam: Weight) -> dict[int, HeckeElt]:
                     result = {d: canon.setdefault(p, p) for d, p in xi.items()}
                     break
         if result is None and first:
-            beta, source = first
-            result = relabel(compute(*source), beta)
+            beta, target = first
+            result = relabel(compute(move(k, beta), target), beta)
         if result is None:
             raise AssertionError(f"coset {c} admits no simple descent")
         _assert_kl_shape(result, c, tc.ideal(c), one, _tuple_in_qzq)
