@@ -259,8 +259,8 @@ def _phi_direct_rows(monkeypatch, tc, lam):
 
 
 def test_phi_direct_rows_on_the_d5_singular_weight(monkeypatch):
-    # relabelling a built row first, then staying in the class, builds
-    # 3 663 rows; a non-integral descent always first built 10 669
+    # Path B builds 3 663 rows here; an order that takes a non-integral
+    # descent wherever one exists builds 10 669 and fails the bound
     table = build_kl_table(get_group("D", 5), (), D5_NONINTEGRAL)
     direct, rows = _phi_direct_rows(monkeypatch, table.tc, D5_NONINTEGRAL)
     assert direct == table.phi
